@@ -54,9 +54,9 @@ class AgentSharedState:
         self.stats = AgentStats()
         #: Bound to Machine.wake_key by the MVEE bootstrap.
         self.wake = lambda key: None
-        #: Optional :class:`repro.obs.ObsHub`; agents emit record/replay/
-        #: stall events and buffer-occupancy samples when set.
-        self.obs = None
+        #: Optional observer bus; agents publish record/replay/stall
+        #: events and buffer-occupancy samples when set.
+        self.hooks = None
         #: When True, slave agents verify that the replayed op's site label
         #: matches the recorded one — a debugging aid for diversity that
         #: changes sync behaviour (Section 4.5.1 documents that such

@@ -82,10 +82,10 @@ class PartialOrderAgent(BaseAgent):
                       default=len(shared.log))
         if len(shared.log) - slowest >= shared.buffer_capacity:
             shared.stats.producer_waits += 1
-            if shared.obs is not None:
-                shared.obs.sync_stall(self.variant_index,
-                                      thread.logical_id,
-                                      "producer_wait", "po")
+            if shared.hooks is not None:
+                shared.hooks.sync_stall(self.variant_index,
+                                        thread.logical_id,
+                                        "producer_wait", "po")
             return Wait(("po_full",), cost=self.costs.buffer_log)
         return Proceed()
 
@@ -96,8 +96,8 @@ class PartialOrderAgent(BaseAgent):
                 thread=thread.logical_id, addr=op.addr, site=op.site))
             shared.addr_positions.setdefault(op.addr, []).append(position)
             shared.stats.recorded += 1
-            if shared.obs is not None:
-                shared.obs.sync_record(
+            if shared.hooks is not None:
+                shared.hooks.sync_record(
                     vm.index, thread.logical_id, "po",
                     shared.log.occupancy(w.frontier for w in
                                          shared.windows.values()))
@@ -117,8 +117,8 @@ class PartialOrderAgent(BaseAgent):
         shared.addr_cursor[cursor_key] = (
             shared.addr_cursor.get(cursor_key, 0) + 1)
         shared.stats.replayed += 1
-        if shared.obs is not None:
-            shared.obs.sync_replay(
+        if shared.hooks is not None:
+            shared.hooks.sync_replay(
                 variant, thread.logical_id, "po",
                 shared.log.occupancy(w.frontier for w in
                                      shared.windows.values()))
@@ -141,9 +141,9 @@ class PartialOrderAgent(BaseAgent):
         if position is None:
             shared.stats.stalls += 1
             shared.stats.log_waits += 1
-            if shared.obs is not None:
-                shared.obs.sync_stall(variant, thread.logical_id,
-                                      "log_wait", "po")
+            if shared.hooks is not None:
+                shared.hooks.sync_stall(variant, thread.logical_id,
+                                        "log_wait", "po")
             return Wait(("po_log", variant),
                         cost=self.costs.buffer_consume
                         + self.costs.cursor_contention_factor * shared.coherence_cost(("po", "window", variant),
@@ -161,9 +161,9 @@ class PartialOrderAgent(BaseAgent):
         if not ready:
             shared.stats.stalls += 1
             shared.stats.order_waits += 1
-            if shared.obs is not None:
-                shared.obs.sync_stall(variant, thread.logical_id,
-                                      "order_wait", "po")
+            if shared.hooks is not None:
+                shared.hooks.sync_stall(variant, thread.logical_id,
+                                        "order_wait", "po")
             return Wait(("po_consume", variant),
                         cost=scan_cost
                         + self.costs.cursor_contention_factor * shared.coherence_cost(("po", "window", variant),

@@ -64,10 +64,10 @@ class TotalOrderAgent(BaseAgent):
                                     default=len(shared.log))
         if lag >= shared.buffer_capacity:
             shared.stats.producer_waits += 1
-            if shared.obs is not None:
-                shared.obs.sync_stall(self.variant_index,
-                                      thread.logical_id,
-                                      "producer_wait", "to")
+            if shared.hooks is not None:
+                shared.hooks.sync_stall(self.variant_index,
+                                        thread.logical_id,
+                                        "producer_wait", "to")
             return Wait(("to_full",), cost=self.costs.buffer_log)
         return Proceed()
 
@@ -77,8 +77,8 @@ class TotalOrderAgent(BaseAgent):
             shared.log.append(SyncRecord(thread=thread.logical_id,
                                          addr=op.addr, site=op.site))
             shared.stats.recorded += 1
-            if shared.obs is not None:
-                shared.obs.sync_record(
+            if shared.hooks is not None:
+                shared.hooks.sync_record(
                     vm.index, thread.logical_id, "to",
                     shared.log.occupancy(shared.next_index.values()))
             # Claiming the next free log position is read-write sharing
@@ -93,8 +93,8 @@ class TotalOrderAgent(BaseAgent):
         variant = self.variant_index
         shared.next_index[variant] += 1
         shared.stats.replayed += 1
-        if shared.obs is not None:
-            shared.obs.sync_replay(
+        if shared.hooks is not None:
+            shared.hooks.sync_replay(
                 variant, thread.logical_id, "to",
                 shared.log.occupancy(shared.next_index.values()))
         cost = (self.costs.buffer_consume
@@ -119,9 +119,9 @@ class TotalOrderAgent(BaseAgent):
         if index >= len(shared.log):
             shared.stats.stalls += 1
             shared.stats.log_waits += 1
-            if shared.obs is not None:
-                shared.obs.sync_stall(variant, thread.logical_id,
-                                      "log_wait", "to")
+            if shared.hooks is not None:
+                shared.hooks.sync_stall(variant, thread.logical_id,
+                                        "log_wait", "to")
             return Wait(("to_log", variant), cost=check_cost)
         entry = shared.log.entry(index)
         if entry.thread != thread.logical_id:
@@ -129,9 +129,9 @@ class TotalOrderAgent(BaseAgent):
             # the unnecessary serialization on unrelated critical sections).
             shared.stats.stalls += 1
             shared.stats.order_waits += 1
-            if shared.obs is not None:
-                shared.obs.sync_stall(variant, thread.logical_id,
-                                      "order_wait", "to")
+            if shared.hooks is not None:
+                shared.hooks.sync_stall(variant, thread.logical_id,
+                                        "order_wait", "to")
             return Wait(("to_next", variant), cost=check_cost)
         if shared.check_sites and entry.site != op.site:
             raise RuntimeError(

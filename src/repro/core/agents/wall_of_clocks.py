@@ -102,8 +102,8 @@ class WallOfClocksAgent(BaseAgent):
                           default=buffer.produced())
             if buffer.produced() - slowest >= shared.buffer_capacity:
                 shared.stats.producer_waits += 1
-                if shared.obs is not None:
-                    shared.obs.sync_stall(
+                if shared.hooks is not None:
+                    shared.hooks.sync_stall(
                         self.variant_index, thread.logical_id,
                         "producer_wait", f"woc:{thread.logical_id}")
                 return Wait(("woc_full", thread.logical_id),
@@ -122,8 +122,8 @@ class WallOfClocksAgent(BaseAgent):
                                       addr=op.addr, site=op.site,
                                       payload=(clock_id, time)))
             shared.stats.recorded += 1
-            if shared.obs is not None:
-                shared.obs.sync_record(
+            if shared.hooks is not None:
+                shared.hooks.sync_record(
                     vm.index, thread.logical_id,
                     f"woc:{thread.logical_id}", buffer.occupancy())
             # SPSC buffer: no cursor sharing.  The clock line is shared
@@ -143,10 +143,10 @@ class WallOfClocksAgent(BaseAgent):
         shared.walls[variant].tick(clock_id)
         buffer.advance(variant)
         shared.stats.replayed += 1
-        if shared.obs is not None:
-            shared.obs.sync_replay(variant, thread.logical_id,
-                                   f"woc:{thread.logical_id}",
-                                   buffer.occupancy())
+        if shared.hooks is not None:
+            shared.hooks.sync_replay(variant, thread.logical_id,
+                                     f"woc:{thread.logical_id}",
+                                     buffer.occupancy())
         cost = (self.costs.buffer_consume
                 + self.costs.woc_clock_factor * shared.coherence_cost(("woc", "clock", variant, clock_id),
                                         thread.global_id))
@@ -164,10 +164,10 @@ class WallOfClocksAgent(BaseAgent):
         if record is None:
             shared.stats.stalls += 1
             shared.stats.log_waits += 1
-            if shared.obs is not None:
-                shared.obs.sync_stall(variant, thread.logical_id,
-                                      "log_wait",
-                                      f"woc:{thread.logical_id}")
+            if shared.hooks is not None:
+                shared.hooks.sync_stall(variant, thread.logical_id,
+                                        "log_wait",
+                                        f"woc:{thread.logical_id}")
             return Wait(("woc_buf", variant, thread.logical_id),
                         cost=self.costs.buffer_consume)
         clock_id, time = record.payload
@@ -175,9 +175,9 @@ class WallOfClocksAgent(BaseAgent):
         if local < time:
             shared.stats.stalls += 1
             shared.stats.order_waits += 1
-            if shared.obs is not None:
-                shared.obs.clock_lag(variant, thread.logical_id,
-                                     clock_id, time - local)
+            if shared.hooks is not None:
+                shared.hooks.clock_lag(variant, thread.logical_id,
+                                       clock_id, time - local)
             if len(shared.clock_granules.get(clock_id, ())) > 1:
                 # More than one 64-bit granule hashes to this clock: the
                 # stall may be pure collision serialization (Section 4.5's

@@ -110,8 +110,8 @@ class Monitor(SyscallInterceptor):
         self._stream: dict[tuple[str, int], Any] = {}
         self._stream_count: dict[tuple[int, str], int] = {}
         self.divergence: DivergenceReport | None = None
-        #: Optional :class:`repro.obs.ObsHub` (set by the MVEE bootstrap).
-        self.obs = None
+        #: Optional observer bus (set by the MVEE bootstrap).
+        self.hooks = None
         #: Variants still being cross-checked.  Quarantine removes a
         #: variant; restart re-admits it.
         self.active: set[int] = set(range(n_variants))
@@ -224,10 +224,10 @@ class Monitor(SyscallInterceptor):
         self.quarantine_log.append(event)
         if machine is not None:
             machine.terminate_variant(variant)
-        if self.obs is not None:
-            self.obs.variant_quarantined(variant, report.kind.value,
-                                         report.thread,
-                                         report.syscall_seq)
+        if self.hooks is not None:
+            self.hooks.variant_quarantined(variant, report.kind.value,
+                                           report.thread,
+                                           report.syscall_seq)
         if (restart and self._restart_cb is not None
                 and machine is not None
                 and self._restart_counts.get(variant, 0)
@@ -379,9 +379,9 @@ class Monitor(SyscallInterceptor):
                     "rendezvous deadline "
                     f"[cause: {self._watchdog_cause()}]"),
             observations=observations)
-        if self.obs is not None:
-            self.obs.watchdog_timeout(thread_logical, seq,
-                                      sorted(missing))
+        if self.hooks is not None:
+            self.hooks.watchdog_timeout(thread_logical, seq,
+                                        sorted(missing))
         directive = self._resolve(report, culprits=missing)
         if directive is not None:
             self._machine.kill_all(report)
@@ -420,8 +420,8 @@ class Monitor(SyscallInterceptor):
                     "(master-side hang: lost wake or stalled blocking "
                     f"call) [cause: {self._watchdog_cause()}]"),
             observations={0: "<blocking call never returned>"})
-        if self.obs is not None:
-            self.obs.watchdog_timeout(thread_logical, index, [0])
+        if self.hooks is not None:
+            self.hooks.watchdog_timeout(thread_logical, index, [0])
         self.divergence = report
         self._machine.kill_all(report)
 
@@ -442,11 +442,11 @@ class Monitor(SyscallInterceptor):
         if spec.stream_replicated:
             return self._before_stream(vm, thread, name, args, spec)
         info = self._call_info(vm, thread, name)
-        obs = self.obs
-        if obs is not None and not info.observed:
+        hooks = self.hooks
+        if hooks is not None and not info.observed:
             info.observed = True
-            obs.monitored_call(vm.index, thread.logical_id, name,
-                               spec.cls.value, info.seq)
+            hooks.monitored_call(vm.index, thread.logical_id, name,
+                                 spec.cls.value, info.seq)
         base_cost = 0.0
         if not info.overhead_charged:
             base_cost += self.costs.monitor_syscall_overhead
@@ -472,9 +472,9 @@ class Monitor(SyscallInterceptor):
                 rdv.arrivals[vm.index] = (name,
                                           normalize_args(spec, args))
                 info.registered = True
-                if obs is not None:
-                    obs.rendezvous_arrive(rdv_key, vm.index,
-                                          thread.logical_id)
+                if hooks is not None:
+                    hooks.rendezvous_arrive(rdv_key, vm.index,
+                                            thread.logical_id)
                 mismatch = self._check_exited_twins(vm, thread, info.seq)
                 if mismatch is not None:
                     return mismatch
@@ -492,10 +492,10 @@ class Monitor(SyscallInterceptor):
                             for v, arrival in rdv.arrivals.items()
                             if v in self.active}
                 observed = set(relevant.values())
-                if obs is not None:
-                    obs.rendezvous_complete(rdv_key, vm.index,
-                                            thread.logical_id,
-                                            matched=len(observed) <= 1)
+                if hooks is not None:
+                    hooks.rendezvous_complete(rdv_key, vm.index,
+                                              thread.logical_id,
+                                              len(observed) <= 1)
                 if len(observed) > 1:
                     culprits = self._vote(relevant)
                     report = DivergenceReport(
@@ -515,9 +515,9 @@ class Monitor(SyscallInterceptor):
             outcome = self.orderer.check(vm.index, thread.logical_id,
                                          thread.global_id)
             if isinstance(outcome, Wait):
-                if obs is not None:
-                    obs.clock_stall(vm.index, thread.logical_id,
-                                    outcome.key)
+                if hooks is not None:
+                    hooks.clock_stall(vm.index, thread.logical_id,
+                                      outcome.key)
                 outcome.cost += base_cost + self.costs.ordering_bookkeeping
                 return outcome
             base_cost += self.costs.ordering_bookkeeping
@@ -563,8 +563,8 @@ class Monitor(SyscallInterceptor):
                 # be cut short), so serve an immediate spurious wakeup
                 # instead of waiting on a result that may never come.
                 return Result(0, cost=self.costs.replication_copy)
-            if self.obs is not None:
-                self.obs.stream_wait(vm.index, thread.logical_id, index)
+            if self.hooks is not None:
+                self.hooks.stream_wait(vm.index, thread.logical_id, index)
             if (self.policy.watchdog_cycles is not None
                     and self._machine is not None
                     and stream_key not in self._stream_armed):
@@ -612,8 +612,8 @@ class Monitor(SyscallInterceptor):
         if variant in self._caught_up_announced:
             return
         self._caught_up_announced.add(variant)
-        if self.obs is not None:
-            self.obs.variant_caught_up(variant)
+        if self.hooks is not None:
+            self.hooks.variant_caught_up(variant)
 
     def _is_fast_forward(self, variant: int, thread_logical: str,
                          seq: int) -> bool:
@@ -665,9 +665,9 @@ class Monitor(SyscallInterceptor):
             outcome = self.orderer.check(vm.index, thread.logical_id,
                                          thread.global_id)
             if isinstance(outcome, Wait):
-                if self.obs is not None:
-                    self.obs.clock_stall(vm.index, thread.logical_id,
-                                         outcome.key)
+                if self.hooks is not None:
+                    self.hooks.clock_stall(vm.index, thread.logical_id,
+                                           outcome.key)
                 if not fast:
                     outcome.cost += (base_cost
                                      + self.costs.ordering_bookkeeping)
@@ -728,9 +728,9 @@ class Monitor(SyscallInterceptor):
                 stream_key = (thread.logical_id, index)
                 self._stream[stream_key] = result
                 self._wake(("stream", stream_key))
-                if self.obs is not None:
-                    self.obs.stream_publish(vm.index, thread.logical_id,
-                                            index)
+                if self.hooks is not None:
+                    self.hooks.stream_publish(vm.index, thread.logical_id,
+                                              index)
             return Proceed(cost=self.costs.replication_copy)
         info = self._current.get((vm.index, thread.logical_id))
         if info is None:  # pragma: no cover - defensive
@@ -746,9 +746,9 @@ class Monitor(SyscallInterceptor):
             timestamp = self.orderer.finish(vm.index, thread.logical_id,
                                             thread.global_id)
             cost += self.costs.ordering_bookkeeping
-            if self.obs is not None and vm.index == 0:
-                self.obs.clock_tick(vm.index, thread.logical_id,
-                                    timestamp)
+            if self.hooks is not None and vm.index == 0:
+                self.hooks.clock_tick(vm.index, thread.logical_id,
+                                      timestamp)
         if spec.replicated and vm.index == 0:
             rdv = self._rendezvous.get(rdv_key)
             if rdv is None:

@@ -157,10 +157,14 @@ class MVEE:
             self.deadlocks = DeadlockDetector()
         else:
             self.deadlocks = deadlocks
-        #: Optional replay sink: a ``DecisionRecorder`` (capture the
+        #: Optional replay observer: a ``DecisionRecorder`` (capture the
         #: decision stream) or ``DecisionReplayer`` (re-drive the run
         #: from a log).  See :mod:`repro.replay`.
         self.replay = replay
+        #: The observer bus built from ``obs`` (and its profiler),
+        #: ``races``, ``deadlocks`` and ``replay``; None when none is
+        #: attached.  See :mod:`repro.obs.bus`.
+        self.hooks = None
         #: Optional checkpointing: a ``CheckpointPolicy``, a cadence in
         #: cycles, or ``True`` for the default cadence.
         self._checkpoint_request = checkpoints
@@ -209,16 +213,11 @@ class MVEE:
         if (self.monitor_kind == "strict"
                 and self.policy.degradation == "restart"):
             self.monitor.set_restart_callback(self._restart_variant)
-        if self.obs is not None:
-            self._attach_obs(self.obs)
+        self._attach_hooks()
         if self.fault_injector is not None:
             self._attach_faults()
-        if self.races is not None:
-            self._attach_races()
-        if self.deadlocks is not None:
-            self._attach_deadlocks()
-        if self.replay is not None:
-            self._attach_replay()
+        for vm in self.vms:
+            self._wire_kernel(vm)
         if self._checkpoint_request:
             self._attach_checkpoints()
         if self.network is not None:
@@ -229,84 +228,71 @@ class MVEE:
         if self.traffic is not None:
             self.traffic(self.machine, self.network)
 
-    def _attach_obs(self, hub) -> None:
-        """Point every instrumented component at the observability hub."""
-        hub.bind_clock(lambda: self.machine.now)
-        self.machine.obs = hub
-        self.monitor.obs = hub
+    def _attach_hooks(self) -> None:
+        """Build the observer bus and hand it to every hook site.
+
+        Subscribers fire in one fixed order: hub, profiler, races,
+        deadlocks, replay.  The machine, monitor, agents and futex
+        tables each hold the bus as ``hooks`` (None when nothing is
+        attached, so a bare run pays one attribute test per site); the
+        detectors, the replayer and the fault injector publish their
+        findings on it.  A replay observer additionally wraps (record)
+        or substitutes (replay) the scheduler RNG, so every draw flows
+        through the decision stream.
+        """
+        hub = self.obs
+        observers = [observer for observer in (
+            hub, hub.prof if hub is not None else None,
+            self.races, self.deadlocks, self.replay)
+            if observer is not None]
+        if not observers:
+            return
+        from repro.obs.bus import HookBus
+
+        hooks = self.hooks = HookBus(observers)
+        for observer in observers:
+            bind_clock = getattr(observer, "bind_clock", None)
+            if bind_clock is not None:
+                bind_clock(lambda: self.machine.now)
+        for publisher in (self.races, self.deadlocks, self.replay,
+                          self.fault_injector):
+            if publisher is not None:
+                publisher.hooks = hooks
+        if self.deadlocks is not None:
+            # A completed wait-for cycle ends the run (sticky flag).
+            self.deadlocks.bind_machine(self.machine)
+        self.machine.hooks = hooks
+        self.monitor.hooks = hooks
         if self.agent_shared is not None:
-            self.agent_shared.obs = hub
-        for vm in self.vms:
-            vm.kernel.futexes.obs = hub
+            self.agent_shared.hooks = hooks
+        if self.replay is not None:
+            from repro.replay import RecordingRandom, ReplayRandom
+
+            if self.replay.mode == "record":
+                self.machine.rng = RecordingRandom(self.machine.rng,
+                                                   self.replay)
+            elif self.replay.mode == "replay":
+                self.machine.rng = ReplayRandom(self.replay,
+                                                self.machine.rng)
 
     def _attach_faults(self) -> None:
-        """Point every fault-capable hook at the injector.
-
-        Mirrors ``_attach_obs``: components test one attribute; a run
-        without a plan never pays more than that test.
-        """
+        """Point every fault-capable site at the injector (the fault
+        rail: one ``faults`` attribute per site, zero cost when absent)."""
         injector = self.fault_injector
         injector.bind_clock(lambda: self.machine.now)
-        if self.obs is not None:
-            injector.bind_obs(self.obs)
         self.machine.faults = injector
         orderer = getattr(self.monitor, "orderer", None)
         if orderer is not None:
             orderer.faults = injector
         if self.agent_shared is not None:
             self.agent_shared.bind_faults(injector)
-        for vm in self.vms:
-            vm.kernel.futexes.faults = injector
-            vm.kernel.futexes.variant = vm.index
 
-    def _attach_races(self) -> None:
-        """Point the machine and every futex table at the detector.
-
-        Same shape as ``_attach_obs``/``_attach_faults``: one attribute
-        per hook site, zero cost when absent.
-        """
-        detector = self.races
-        detector.bind_clock(lambda: self.machine.now)
-        if self.obs is not None:
-            detector.bind_obs(self.obs)
-        self.machine.races = detector
-        for vm in self.vms:
-            vm.kernel.futexes.races = detector
-
-    def _attach_deadlocks(self) -> None:
-        """Point the machine and every futex table at the wait-for-graph
-        detector, and let a completed cycle end the run (sticky flag)."""
-        detector = self.deadlocks
-        detector.bind_clock(lambda: self.machine.now)
-        detector.bind_machine(self.machine)
-        if self.obs is not None:
-            detector.bind_obs(self.obs)
-        self.machine.deadlocks = detector
-        for vm in self.vms:
-            vm.kernel.futexes.deadlocks = detector
-            vm.kernel.futexes.variant = vm.index
-
-    def _attach_replay(self) -> None:
-        """Wire the decision-stream sink into every decision point.
-
-        Same zero-cost shape as the other observers — plus the one
-        intrusive move the sink demands: the scheduler RNG is wrapped
-        (record) or substituted (replay) so every draw flows through the
-        decision stream.
-        """
-        from repro.replay import RecordingRandom, ReplayRandom
-
-        sink = self.replay
-        self.machine.replay = sink
-        for vm in self.vms:
-            vm.kernel.futexes.replay = sink
-            vm.kernel.futexes.variant = vm.index
-        if sink.mode == "record":
-            self.machine.rng = RecordingRandom(self.machine.rng, sink)
-        elif sink.mode == "replay":
-            self.machine.rng = ReplayRandom(sink, self.machine.rng)
-            if self.obs is not None:
-                sink.obs = self.obs
+    def _wire_kernel(self, vm: VariantVM) -> None:
+        """Point one variant's futex table at the bus and the injector."""
+        futexes = vm.kernel.futexes
+        futexes.variant = vm.index
+        futexes.hooks = self.hooks
+        futexes.faults = self.fault_injector
 
     def _attach_checkpoints(self) -> None:
         """Attach a periodic checkpointer (watchdog lane, zero cycles)."""
@@ -325,8 +311,7 @@ class MVEE:
             recorder = (self.replay
                         if (self.replay is not None
                             and self.replay.mode == "record") else None)
-            checkpointer = Checkpointer(self, policy, recorder=recorder,
-                                        obs=self.obs)
+            checkpointer = Checkpointer(self, policy, recorder=recorder)
         self.checkpointer = checkpointer
         if hasattr(self.monitor, "checkpoints"):
             self.monitor.checkpoints = checkpointer.store
@@ -362,30 +347,15 @@ class MVEE:
                 self.vms[position] = vm
                 break
         self.machine.replace_vm(vm)
-        if self.obs is not None:
-            vm.kernel.futexes.obs = self.obs
-        if self.fault_injector is not None:
-            vm.kernel.futexes.faults = self.fault_injector
-            vm.kernel.futexes.variant = vm.index
-        if self.races is not None:
-            # The replacement starts from fresh memory: drop the old
-            # incarnation's clocks so they can't fabricate races.
-            self.races.reset_variant(index)
-            vm.kernel.futexes.races = self.races
-        if self.deadlocks is not None:
-            # Fresh memory: stale lock ownership would fabricate
-            # wait-for edges against the new incarnation.
-            self.deadlocks.reset_variant(index)
-            vm.kernel.futexes.deadlocks = self.deadlocks
-            vm.kernel.futexes.variant = vm.index
-        if self.replay is not None:
-            vm.kernel.futexes.replay = self.replay
-            vm.kernel.futexes.variant = vm.index
+        self._wire_kernel(vm)
         self.monitor.readmit(index)
         ctx = build_context(vm, self.program)
         self.machine.add_thread(vm, "main", self.program.main(ctx))
-        if self.obs is not None:
-            self.obs.variant_restarted(index)
+        if self.hooks is not None:
+            # The replacement starts from fresh memory: the detectors
+            # drop the old incarnation's clocks and lock ownership so
+            # they can't fabricate races or wait-for edges against it.
+            self.hooks.variant_restarted(index)
 
     # -- run ----------------------------------------------------------------
 

@@ -1,11 +1,12 @@
 """The fault-injection runtime.
 
 One :class:`FaultInjector` is attached per MVEE run (never for native
-runs).  The simulator's hot paths consult it through the same zero-cost
-pattern as :mod:`repro.obs` — a single ``faults is not None`` attribute
-test when disabled — and each check is keyed to a deterministic logical
-counter, so a fixed plan and machine seed reproduce the same faults at
-the same simulated cycles.
+runs).  Faults keep their own rail beside the observer bus: the
+simulator's hot paths consult the injector through a single
+``faults is not None`` attribute test when disabled, and each check is
+keyed to a deterministic logical counter, so a fixed plan and machine
+seed reproduce the same faults at the same simulated cycles.  What fired
+is published on the observer bus as ``fault_injected``.
 
 The injector never *acts* on the simulation itself; it only answers
 "does a planned fault trigger here?" and records what fired.  The
@@ -64,7 +65,9 @@ class FaultInjector:
             plan = FaultPlan(plan)
         self.plan = plan
         self.injected: list[InjectedFault] = []
-        self.obs = None
+        #: The observer bus, set by the MVEE (None when no observer is
+        #: attached).
+        self.hooks = None
         self._clock = lambda: 0.0
         #: (kind, variant) -> pending specs sorted by trigger index.
         self._pending: dict[tuple[str, int], list[FaultSpec]] = {}
@@ -83,9 +86,6 @@ class FaultInjector:
     def bind_clock(self, clock) -> None:
         """Attach the machine's simulated clock (``lambda: machine.now``)."""
         self._clock = clock
-
-    def bind_obs(self, hub) -> None:
-        self.obs = hub
 
     # -- hook entry points ---------------------------------------------------
 
@@ -172,6 +172,6 @@ class FaultInjector:
                               variant=variant, thread=thread, site=site,
                               detail=detail)
         self.injected.append(event)
-        if self.obs is not None:
-            self.obs.fault_injected(spec.kind, variant, thread, site,
-                                    detail)
+        if self.hooks is not None:
+            self.hooks.fault_injected(spec.kind, variant, thread, site,
+                                      detail)

@@ -19,31 +19,22 @@ class FutexTable:
 
     def __init__(self):
         self._waiters: dict[int, list[str]] = {}
-        #: Optional :class:`repro.obs.ObsHub`; when set, parking and
-        #: waking are reported as ``futex.*`` trace events.
-        self.obs = None
-        #: Optional :class:`repro.faults.FaultInjector` plus the owning
-        #: variant's index; when set, a planned ``drop_wake`` fault can
-        #: suppress wakeups (the waiters stay queued — a lost wake).
-        self.faults = None
+        #: The owning variant's index (stamped on every event and fault
+        #: check; set by the MVEE bootstrap).
         self.variant = 0
-        #: Optional :class:`repro.races.RaceDetector`; a wake with a
-        #: known waker is a happens-before edge (waker → each wakee).
-        self.races = None
-        #: Optional replay sink (recorder or replayer); wake choices on
-        #: the master are part of the decision stream.
-        self.replay = None
-        #: Optional :class:`repro.races.DeadlockDetector`; parking on an
-        #: owned word adds a wait-for edge (and may complete a cycle).
-        self.deadlocks = None
+        #: Optional observer bus (:class:`repro.obs.bus.HookBus`); parks,
+        #: cancelled waits and wakes are published as ``futex_*`` events.
+        self.hooks = None
+        #: Optional :class:`repro.faults.FaultInjector`; when set, a
+        #: planned ``drop_wake`` fault can suppress wakeups (the waiters
+        #: stay queued — a lost wake).
+        self.faults = None
 
     def add_waiter(self, addr: int, thread_id: str) -> None:
         """Register ``thread_id`` as blocked on the futex word ``addr``."""
         self._waiters.setdefault(addr, []).append(thread_id)
-        if self.obs is not None:
-            self.obs.futex_park(thread_id, addr)
-        if self.deadlocks is not None:
-            self.deadlocks.on_futex_wait(self.variant, thread_id, addr)
+        if self.hooks is not None:
+            self.hooks.futex_park(self.variant, thread_id, addr)
 
     def remove_waiter(self, addr: int, thread_id: str) -> None:
         """Remove a waiter (e.g. on timeout or variant shutdown)."""
@@ -52,8 +43,8 @@ class FutexTable:
             queue.remove(thread_id)
             if not queue:
                 del self._waiters[addr]
-            if self.deadlocks is not None:
-                self.deadlocks.on_futex_unwait(thread_id)
+            if self.hooks is not None:
+                self.hooks.futex_unpark(self.variant, thread_id, addr)
 
     def wake(self, addr: int, count: int,
              waker: str | None = None) -> list[str]:
@@ -70,14 +61,8 @@ class FutexTable:
             self._waiters[addr] = remaining
         else:
             del self._waiters[addr]
-        if self.obs is not None:
-            self.obs.futex_wake(addr, woken)
-        if self.races is not None and waker is not None and woken:
-            self.races.on_futex_wake(waker, woken)
-        if self.replay is not None:
-            self.replay.on_wake(self.variant, addr, woken)
-        if self.deadlocks is not None and woken:
-            self.deadlocks.on_futex_wake(woken)
+        if self.hooks is not None:
+            self.hooks.futex_wake(self.variant, addr, woken, waker)
         return woken
 
     def waiters(self, addr: int) -> list[str]:

@@ -5,17 +5,17 @@ over the analysis mini-IR, reusing the Steensgaard/Andersen points-to
 results to find shared globals with no consistently-held lock.
 
 Dynamic side (:mod:`repro.races.detector`): a FastTrack-style
-vector-clock happens-before detector attached to the machine behind the
-zero-cost ``races is not None`` hook pattern, reporting unordered
-conflicting accesses at un-identified sites.
+vector-clock happens-before detector subscribed to the observer bus
+(:mod:`repro.obs.bus`), reporting unordered conflicting accesses at
+un-identified sites.
 
 Cross-checker (:mod:`repro.races.coverage`): diffs dynamic race reports
 against the statically identified site set — each gap *is* the
 Listing-2 false negative, named and paired with a remediation.
 
 Deadlock side (:mod:`repro.races.deadlock`): per-variant held-sets and a
-runtime wait-for-graph behind the same ``deadlocks is not None`` hook
-pattern, detecting guest lock-order deadlocks at cycle formation — the
+runtime wait-for-graph, another observer-bus subscriber, detecting
+guest lock-order deadlocks at cycle formation — the
 dynamic mirror of :mod:`repro.analysis.lockorder`.
 """
 

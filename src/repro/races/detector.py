@@ -1,10 +1,10 @@
 """The dynamic side: a FastTrack-style happens-before race detector.
 
-Attached to a :class:`~repro.sched.machine.Machine` as ``machine.races``
-(the same zero-cost ``is not None`` hook contract as ``repro.obs`` and
-``repro.faults``), the detector observes the simulation's communication
-events and partitions every committed :class:`~repro.sched.events.SyncOp`
-into one of two roles:
+Attached with ``MVEE(..., races=...)``, the detector subscribes to the
+observer bus (:mod:`repro.obs.bus`): it takes the simulation's
+communication events and partitions every committed
+:class:`~repro.sched.events.SyncOp` (the ``sync_op`` event) into one of
+two roles:
 
 * **synchronization** — the site is one the static pipeline identified
   (by default: the variant's instrumentation predicate says so).  These
@@ -17,10 +17,11 @@ into one of two roles:
   relation built from the identified sites) after every conflicting
   prior access to the same address granule is a race.
 
-Spawn/join edges and futex wake edges (``kernel.futex``) complete the
-happens-before relation.  Per-address state is keyed by the §4.5 64-bit
-granule (``addr >> 3``), matching the wall-of-clocks hash, and kept per
-variant — diversified layouts make addresses variant-local.
+Spawn/join edges (``thread_spawned`` / ``thread_joined``) and futex wake
+edges (``futex_wake``) complete the happens-before relation.
+Per-address state is keyed by the §4.5 64-bit granule (``addr >> 3``),
+matching the wall-of-clocks hash, and kept per variant — diversified
+layouts make addresses variant-local.
 
 The detector only *observes*: it never charges simulated cycles, never
 consumes scheduler randomness, and never parks threads, so an attached
@@ -164,7 +165,9 @@ class RaceDetector:
         self.sync_sites = sync_sites
         self.max_races = max_races
         self.report = RaceReport()
-        self.obs = None
+        #: The observer bus, set by the MVEE; detected races are
+        #: published on it as ``race_detected``.
+        self.hooks = None
         self._clock = lambda: 0.0
         #: thread global id -> vector clock (survives thread exit so
         #: join edges can read the final clock).
@@ -180,11 +183,7 @@ class RaceDetector:
         """Attach the machine's simulated clock (``lambda: machine.now``)."""
         self._clock = clock
 
-    def bind_obs(self, hub) -> None:
-        """Mirror each detected race into an ObsHub's race log."""
-        self.obs = hub
-
-    def reset_variant(self, variant: int) -> None:
+    def variant_restarted(self, variant: int) -> None:
         """Forget one variant's state (quarantine-restart support).
 
         A restarted variant re-runs ``main`` from scratch with fresh
@@ -223,16 +222,16 @@ class RaceDetector:
             return value == event.args[0]
         return True
 
-    # -- machine hooks ---------------------------------------------------
+    # -- bus events ------------------------------------------------------
 
-    def on_sync_op(self, vm, thread, event, value) -> None:
+    def sync_op(self, vm, thread, event, value) -> None:
         """One committed SyncOp: build HB order or race-check it."""
         if self._is_sync_site(vm, event.site):
             self._sync_edge(vm, thread, event, value)
         else:
             self._plain_access(vm, thread, event, value)
 
-    def on_spawn(self, parent, child) -> None:
+    def thread_spawned(self, parent, child) -> None:
         """``Spawn``: the child starts after the parent's clock."""
         parent_vc = self._vc(parent.global_id)
         child_vc = self._vc(child.global_id)
@@ -240,16 +239,17 @@ class RaceDetector:
         parent_vc.tick(parent.global_id)
         self.report.hb_edges += 1
 
-    def on_join(self, joiner, target) -> None:
+    def thread_joined(self, joiner, target) -> None:
         """``Join`` delivered: the target's whole history is ordered
         before the joiner's continuation."""
         self._vc(joiner.global_id).join(self._vc(target.global_id))
         self.report.hb_edges += 1
 
-    def on_futex_wake(self, waker: str, woken: list[str]) -> None:
+    def futex_wake(self, variant: int, addr: int, woken: list[str],
+                   waker: str | None) -> None:
         """A futex wake: the waker's history precedes each wakee's
         continuation (the paper's one ordering-exempt blocking call)."""
-        if not woken:
+        if waker is None or not woken:
             return
         waker_vc = self._vc(waker)
         for wakee in woken:
@@ -317,5 +317,5 @@ class RaceDetector:
         self.report.occurrences[key] = 1
         race = RaceRecord(kind=kind, prior=prior, current=current)
         self.report.races.append(race)
-        if self.obs is not None:
-            self.obs.race_detected(race)
+        if self.hooks is not None:
+            self.hooks.race_detected(race)

@@ -5,12 +5,13 @@ decisions, so a compact log of that decision stream reproduces any run
 bit-identically (rr's observation; see ``docs/REPLAY.md``):
 
 * :class:`DecisionRecorder` captures the master's sync-op grants,
-  syscall results, futex wake choices, and scheduler RNG draws behind
-  the same zero-cost ``machine.replay is not None`` hook pattern as
-  faults/races/obs;
+  syscall results, futex wake choices, and scheduler RNG draws: it is a
+  subscriber on the observer bus (:mod:`repro.obs.bus`), plus a wrapper
+  around the scheduler RNG;
 * :class:`DecisionReplayer` re-drives a ``Machine``/``MVEE`` from a
   :class:`DecisionLog` alone — the scheduler's randomness is fed from
-  the log, so the replay machine's own seed is irrelevant;
+  the log, so the replay machine's own seed is irrelevant, and its bus
+  events only verify the run against the log;
 * :class:`Checkpointer` takes periodic, timeline-neutral snapshots of
   machine state so restart resync and serve crash recovery resume from
   the nearest checkpoint + log suffix instead of full history.

@@ -218,14 +218,12 @@ class Checkpointer:
     """Takes snapshots on the machine's watchdog lane."""
 
     def __init__(self, mvee, policy: CheckpointPolicy | None = None,
-                 recorder=None, store: CheckpointStore | None = None,
-                 obs=None):
+                 recorder=None, store: CheckpointStore | None = None):
         self.mvee = mvee
         self.machine = mvee.machine
         self.policy = policy or CheckpointPolicy()
         self.recorder = recorder
         self.store = store if store is not None else CheckpointStore()
-        self.obs = obs
         self._last_progress = None
 
     def arm(self) -> None:
@@ -270,8 +268,8 @@ class Checkpointer:
             fingerprint=machine_fingerprint(self.mvee),
         )
         self.store.add(checkpoint)
-        if self.obs is not None:
-            self.obs.checkpoint_taken(checkpoint.index,
-                                      checkpoint.at_cycles,
-                                      checkpoint.decision_index)
+        hooks = self.mvee.hooks
+        if hooks is not None:
+            hooks.checkpoint_taken(checkpoint.index, checkpoint.at_cycles,
+                                   checkpoint.decision_index)
         return checkpoint

@@ -272,7 +272,7 @@ def resume_recorded(spec, log_path: str, checkpoint_path: str,
         every = CheckpointPolicy().every_cycles
     checkpointer = Checkpointer(
         mvee, CheckpointPolicy(every_cycles=every), recorder=recorder,
-        store=store, obs=hub)
+        store=store)
     mvee.checkpointer = checkpointer
     if hasattr(mvee.monitor, "checkpoints"):
         mvee.monitor.checkpoints = store

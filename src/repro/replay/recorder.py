@@ -1,10 +1,11 @@
 """The DecisionRecorder: a pure observer of the master's decisions.
 
-Attached via ``MVEE(..., replay=recorder)``, it sits behind the same
-``is not None`` hook pattern as faults/races/obs: the machine fires
-``on_step``/``on_sync``/``on_syscall``, the kernel futex table fires
-``on_wake``, and the machine's RNG is wrapped in
-:class:`RecordingRandom` so every scheduler draw lands in the log.
+Attached via ``MVEE(..., replay=recorder)``, it subscribes to the
+observer bus (:mod:`repro.obs.bus`) like every other observer: it takes
+the machine's ``step_committed``/``sync_op``/``syscall_committed`` and
+the futex tables' ``futex_wake`` events, and the machine's RNG is
+wrapped in :class:`RecordingRandom` so every scheduler draw lands in
+the log.
 Recording charges no simulated cycle and consumes no extra randomness —
 a recorded run is bit-identical to a plain one (pinned in
 ``test_determinism.py``).
@@ -57,9 +58,9 @@ class RecordingRandom:
 
 
 class DecisionRecorder:
-    """Hook sink appending the master's decision stream to a log."""
+    """Observer appending the master's decision stream to a log."""
 
-    #: How MVEE._attach_replay wires the machine RNG.
+    #: How the MVEE wires the machine RNG (wrapped, not substituted).
     mode = "record"
 
     def __init__(self, log: DecisionLog | None = None):
@@ -67,30 +68,32 @@ class DecisionRecorder:
         #: Committed machine steps seen (stamps records with "i").
         self.steps = 0
 
-    # -- machine hooks -----------------------------------------------------
+    # -- bus events --------------------------------------------------------
 
-    def on_step(self) -> None:
+    def step_committed(self, variant: int, thread_global: str,
+                       thread: str, kind: str, duration: float) -> None:
         self.steps += 1
 
     def on_rng(self, method: str, value) -> None:
         self.log.append({"k": "rng", "m": method, "v": value,
                          "i": self.steps})
 
-    def on_sync(self, variant: int, thread: str, op: str, site: str,
-                value) -> None:
-        if variant != 0:
+    def sync_op(self, vm, thread, event, value) -> None:
+        if vm.index != 0:
             return
-        self.log.append({"k": "sync", "t": thread, "o": op, "s": site,
-                         "v": value, "i": self.steps})
+        self.log.append({"k": "sync", "t": thread.logical_id,
+                         "o": event.op, "s": event.site, "v": value,
+                         "i": self.steps})
 
-    def on_syscall(self, variant: int, thread: str, name: str,
-                   result) -> None:
+    def syscall_committed(self, variant: int, thread: str, name: str,
+                          result) -> None:
         if variant != 0:
             return
         self.log.append({"k": "sys", "t": thread, "n": name,
                          "r": repr(result), "i": self.steps})
 
-    def on_wake(self, variant: int, addr: int, woken) -> None:
+    def futex_wake(self, variant: int, addr: int, woken: list,
+                   waker: str | None) -> None:
         if variant != 0 or not woken:
             return
         self.log.append({"k": "wake", "a": addr, "w": list(woken),

@@ -6,11 +6,14 @@ single global record queue in commit order:
 * RNG draws are *fed from the log* (:class:`ReplayRandom`), so the
   replay machine's own seed never matters — this is what makes replay
   bit-identical;
-* sync/syscall/wake hooks are *verified* against the next expected
-  record: the first mismatch (or early exhaustion) is captured once as
-  :class:`ReplayMismatch` and the replayer degrades to passthrough —
+* the sync-op, syscall and futex-wake events it takes from the observer
+  bus (:mod:`repro.obs.bus`) are only *verified* against the next
+  expected record: the first mismatch (or early exhaustion) is captured
+  once as :class:`ReplayMismatch`, published on the bus as
+  ``replay_diverged``, and the replayer degrades to passthrough —
   raising from inside machine dispatch would corrupt the very run the
-  forensics want to look at.
+  forensics want to look at.  The RNG substitution is the only way the
+  replayer steers the run.
 
 ``handoff_at`` supports checkpoint resume: the replayer drives the run
 verbatim through the first ``handoff_at`` records, then goes live
@@ -90,7 +93,7 @@ def _strip_index(record: dict) -> dict:
 
 @dataclass
 class DecisionReplayer:
-    """Hook sink consuming a :class:`DecisionLog` in commit order."""
+    """Observer consuming a :class:`DecisionLog` in commit order."""
 
     log: DecisionLog
     #: Record index at which to stop replaying and go live (checkpoint
@@ -103,8 +106,9 @@ class DecisionReplayer:
     verified: int = field(default=0, init=False)
     first_divergence: ReplayMismatch | None = field(default=None,
                                                     init=False)
-    #: Optional ObsHub notified (tracer-only) on divergence.
-    obs = None
+    #: The observer bus, set by the MVEE; a divergence is published on
+    #: it as ``replay_diverged``.
+    hooks = None
     #: Checkpoint resume: RNG state to hand the live RNG at handoff
     #: (applied lazily by :class:`ReplayRandom`).
     pending_rng_state = None
@@ -134,14 +138,15 @@ class DecisionReplayer:
             self.first_divergence = ReplayMismatch(
                 step=self.steps, index=self.pos, expected=expected,
                 actual=actual)
-            if self.obs is not None:
-                self.obs.replay_diverged(self.steps, self.pos)
+            if self.hooks is not None:
+                self.hooks.replay_diverged(self.steps, self.pos)
         # Desynced: stop steering/verifying, let the run limp on live.
         self.live = True
 
-    # -- machine hooks -----------------------------------------------------
+    # -- bus events --------------------------------------------------------
 
-    def on_step(self) -> None:
+    def step_committed(self, variant: int, thread_global: str,
+                       thread: str, kind: str, duration: float) -> None:
         self.steps += 1
         if self.tail_recorder is not None:
             self.tail_recorder.steps = self.steps
@@ -169,36 +174,35 @@ class DecisionReplayer:
         self._advance()
         self.verified += 1
 
-    def on_sync(self, variant: int, thread: str, op: str, site: str,
-                value) -> None:
-        if variant != 0:
+    def sync_op(self, vm, thread, event, value) -> None:
+        if vm.index != 0:
             return
         if self.live:
             if self.tail_recorder is not None:
-                self.tail_recorder.on_sync(variant, thread, op, site,
-                                           value)
+                self.tail_recorder.sync_op(vm, thread, event, value)
             return
-        self._verify({"k": "sync", "t": thread, "o": op, "s": site,
-                      "v": value})
+        self._verify({"k": "sync", "t": thread.logical_id, "o": event.op,
+                      "s": event.site, "v": value})
 
-    def on_syscall(self, variant: int, thread: str, name: str,
-                   result) -> None:
+    def syscall_committed(self, variant: int, thread: str, name: str,
+                          result) -> None:
         if variant != 0:
             return
         if self.live:
             if self.tail_recorder is not None:
-                self.tail_recorder.on_syscall(variant, thread, name,
-                                              result)
+                self.tail_recorder.syscall_committed(variant, thread,
+                                                     name, result)
             return
         self._verify({"k": "sys", "t": thread, "n": name,
                       "r": repr(result)})
 
-    def on_wake(self, variant: int, addr: int, woken) -> None:
+    def futex_wake(self, variant: int, addr: int, woken: list,
+                   waker: str | None) -> None:
         if variant != 0 or not woken:
             return
         if self.live:
             if self.tail_recorder is not None:
-                self.tail_recorder.on_wake(variant, addr, woken)
+                self.tail_recorder.futex_wake(variant, addr, woken, waker)
             return
         self._verify({"k": "wake", "a": addr, "w": list(woken)})
 

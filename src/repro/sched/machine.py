@@ -98,26 +98,14 @@ class Machine:
         self._started = False
         #: Optional callable(vm, thread, label, payload) for Annotate events.
         self.trace_hook = None
-        #: Optional :class:`repro.obs.ObsHub`; hooks fire only when set,
-        #: so the disabled path costs one attribute test.
-        self.obs = None
+        #: Optional observer bus (:class:`repro.obs.bus.HookBus`); events
+        #: fire only when set, so the disabled path costs one attribute
+        #: test.  Observers never charge cycles or consume randomness.
+        self.hooks = None
         #: Optional :class:`repro.faults.FaultInjector`; same zero-cost
-        #: contract as ``obs`` — disabled ⇒ one attribute test, and the
-        #: simulated timeline is byte-identical to the seed simulator.
+        #: contract — disabled ⇒ one attribute test, and the simulated
+        #: timeline is byte-identical to the seed simulator.
         self.faults = None
-        #: Optional :class:`repro.races.RaceDetector`; same zero-cost
-        #: contract again.  The detector only observes committed events —
-        #: it never charges cycles or consumes randomness.
-        self.races = None
-        #: Optional replay sink (:class:`repro.replay.DecisionRecorder`
-        #: or :class:`repro.replay.DecisionReplayer`); same zero-cost
-        #: contract.  RNG capture happens by wrapping ``self.rng``, not
-        #: through this hook, so the disabled path is one attribute test.
-        self.replay = None
-        #: Optional :class:`repro.races.DeadlockDetector`; same zero-cost
-        #: contract.  Observes committed sync ops to track lock
-        #: ownership; its futex hooks live on each VM's FutexTable.
-        self.deadlocks = None
         #: Application-level cache-line contention: every atomic access to
         #: a shared word pays coherence, in native runs and MVEE runs
         #: alike.  (Agent-added traffic is charged separately by the
@@ -174,9 +162,9 @@ class Machine:
         self._threads_by_id[thread.global_id] = thread
         thread.ready_since = self.now
         self._ready.append(thread)
-        if self.obs is not None:
-            self.obs.thread_created(vm.index, thread.global_id,
-                                    logical_id)
+        if self.hooks is not None:
+            self.hooks.thread_created(vm.index, thread.global_id,
+                                      logical_id)
         return thread
 
     # -- external actors (benchmark traffic drivers etc.) -----------------------
@@ -249,9 +237,9 @@ class Machine:
         thread.park_key = None
         thread.ready_since = self.now
         self._ready.append(thread)
-        if self.obs is not None:
-            self.obs.unpark(thread.vm.index, thread.global_id,
-                            thread.logical_id)
+        if self.hooks is not None:
+            self.hooks.unpark(thread.vm.index, thread.global_id,
+                              thread.logical_id)
 
     # -- main loop -------------------------------------------------------------------
 
@@ -306,19 +294,18 @@ class Machine:
                     duration = self.now - started
                     thread.stats.busy_cycles += duration
                     thread.burst_cycles += duration
-                    if self.obs is not None:
+                    hooks = self.hooks
+                    if hooks is not None:
                         # park_resume is still set for mid-event resumes,
                         # so the hook can attribute the recheck to the
                         # wait that caused it.
-                        self.obs.step_committed(
+                        hooks.step_committed(
                             thread.vm.index, thread.global_id,
                             thread.logical_id,
                             ("resume" if thread.park_resume is not None
                              else self._event_kinds[
                                  type(thread.pending_event)]),
                             duration)
-                    if self.replay is not None:
-                        self.replay.on_step()
                     self._commit_step(thread)
             elif kind == "external":
                 payload(self)
@@ -405,8 +392,8 @@ class Machine:
                 continue
             thread.stats.queue_cycles += self.now - thread.ready_since
             thread.state = ThreadState.RUNNING
-            if self.obs is not None:
-                self.obs.sched_grant(thread.vm.index, thread.logical_id)
+            if self.hooks is not None:
+                self.hooks.sched_grant(thread.vm.index, thread.logical_id)
             thread.burst_cycles = 0.0
             thread.burst_quantum = (self.costs.preempt_quantum
                                     * self.policy.quantum_scale(self.rng))
@@ -430,9 +417,9 @@ class Machine:
         thread.park_time = self.now
         self._parked.setdefault(key, []).append(thread)
         self._release_core()
-        if self.obs is not None:
-            self.obs.park(thread.vm.index, thread.global_id,
-                          thread.logical_id, key)
+        if self.hooks is not None:
+            self.hooks.park(thread.vm.index, thread.global_id,
+                            thread.logical_id, key)
 
     # -- stepping ----------------------------------------------------------------------------
 
@@ -576,13 +563,8 @@ class Machine:
                 return
             thread.carry_cost(outcome.cost)
         value = self._apply_syncop(vm, event)
-        if self.races is not None:
-            self.races.on_sync_op(vm, thread, event, value)
-        if self.deadlocks is not None:
-            self.deadlocks.on_sync_op(vm, thread, event, value)
-        if self.replay is not None:
-            self.replay.on_sync(vm.index, thread.logical_id, event.op,
-                                event.site, value)
+        if self.hooks is not None:
+            self.hooks.sync_op(vm, thread, event, value)
         thread.stats.sync_ops += 1
         vm.total_sync_ops += 1
         if vm.record_sync_trace:
@@ -726,9 +708,9 @@ class Machine:
             return
         thread.stats.syscalls += 1
         vm.total_syscalls += 1
-        if self.replay is not None:
-            self.replay.on_syscall(vm.index, thread.logical_id,
-                                   event.name, result)
+        if self.hooks is not None:
+            self.hooks.syscall_committed(vm.index, thread.logical_id,
+                                         event.name, result)
         if vm.record_trace:
             detail = tuple(
                 "<addr>" if index in spec.address_args else arg
@@ -762,8 +744,8 @@ class Machine:
             thread.carry_cost(getattr(directive, "cost", 0.0))
         gen = event.fn(*event.args)
         child = self.add_thread(vm, child_id, gen)
-        if self.races is not None:
-            self.races.on_spawn(thread, child)
+        if self.hooks is not None:
+            self.hooks.thread_spawned(thread, child)
         self._record_syscall(vm, thread, Syscall("clone", (child_id,)),
                              child_id)
         if self.interceptor is not None:
@@ -788,8 +770,8 @@ class Machine:
                                    thread=thread.logical_id))
             return
         if target.state is ThreadState.DONE:
-            if self.races is not None:
-                self.races.on_join(thread, target)
+            if self.hooks is not None:
+                self.hooks.thread_joined(thread, target)
             thread.inbox = target.result
             self._after_step(thread)
             return
@@ -801,9 +783,9 @@ class Machine:
         thread.result = value
         thread.state = ThreadState.DONE
         thread.pending_event = None
-        if self.obs is not None:
-            self.obs.thread_finished(thread.vm.index, thread.global_id,
-                                     thread.logical_id)
+        if self.hooks is not None:
+            self.hooks.thread_finished(thread.vm.index, thread.global_id,
+                                       thread.logical_id)
         if self.interceptor is not None:
             self.interceptor.on_thread_exit(thread.vm, thread)
         if thread.vm.agent is not None:
@@ -893,8 +875,8 @@ class Machine:
     def _kill_all(self, report) -> None:
         """Divergence: terminate every variant (the MVEE's response)."""
         self._divergence = report
-        if self.obs is not None:
-            self.obs.divergence(report)
+        if self.hooks is not None:
+            self.hooks.divergence(report)
         for vm in self.vms:
             vm.killed = True
             for thread in vm.threads.values():

@@ -379,7 +379,7 @@ class Session:
                 self._mvee,
                 CheckpointPolicy(every_cycles=self.checkpoint_every),
                 recorder=self._recorder,
-                store=CheckpointStore(path=ckpt_path), obs=self._hub)
+                store=CheckpointStore(path=ckpt_path))
             self._mvee.checkpointer = checkpointer
             if hasattr(self._mvee.monitor, "checkpoints"):
                 self._mvee.monitor.checkpoints = checkpointer.store

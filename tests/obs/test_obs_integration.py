@@ -43,10 +43,12 @@ class TestZeroPerturbation:
     def test_hooks_default_to_disabled(self):
         outcome = run_fft()
         assert outcome.obs is None and outcome.obs_bundle is None
-        assert outcome.machine.obs is None
-        assert outcome.monitor.obs is None
+        # One observer bus, absent on every hook site of a bare run.
+        assert outcome.machine.hooks is None
+        assert outcome.monitor.hooks is None
+        assert outcome.agent_shared.hooks is None
         for vm in outcome.vms:
-            assert vm.kernel.futexes.obs is None
+            assert vm.kernel.futexes.hooks is None
 
 
 class TestDeterminism:

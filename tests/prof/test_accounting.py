@@ -153,8 +153,8 @@ class TestSnapshotShape:
     def test_hooks_defensive_about_unknown_threads(self):
         profiler = CycleProfiler()
         profiler.sched_grant(0, "ghost")
-        profiler.park(0, "ghost", ("futex", 1))
-        profiler.unpark(0, "ghost")
+        profiler.park(0, "v0:ghost", "ghost", ("futex", 1))
+        profiler.unpark(0, "v0:ghost", "ghost")
         profiler.step_committed(0, "v0:ghost", "ghost", "compute", 1.0)
         profiler.thread_finished(0, "v0:ghost", "ghost")
         assert profiler.snapshot().threads == []

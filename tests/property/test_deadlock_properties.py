@@ -125,14 +125,14 @@ class TestWaitForGraphProperties:
             tid = f"v0:{THREADS[index]}"
             if hold not in holder_of:  # first claimant owns the word
                 holder_of[hold] = tid
-                detector.on_sync_op(
+                detector.sync_op(
                     type("VM", (), {"index": 0})(),
                     type("T", (), {"global_id": tid})(),
                     type("Op", (), {"op": "cas", "addr": hold,
                                     "args": (0, 1), "site": None})(),
                     0)
         for index, (_hold, want) in enumerate(states):
-            detector.on_futex_wait(0, f"v0:{THREADS[index]}", want)
+            detector.futex_park(0, f"v0:{THREADS[index]}", want)
         # Reference: edge waiter -> holder(wanted word), cycle via DFS.
         edges = []
         for index, (_hold, want) in enumerate(states):
@@ -152,7 +152,7 @@ class TestWaitForGraphProperties:
                 holder_of[hold] = tid
                 detector._acquire(0, hold, tid, None)
         for index, (_hold, want) in enumerate(states):
-            detector.on_futex_wait(0, f"v0:{THREADS[index]}", want)
+            detector.futex_park(0, f"v0:{THREADS[index]}", want)
         for record in detector.report.records:
             for thread in record.threads:
                 assert thread.holds  # every cycle member owns something

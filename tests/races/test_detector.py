@@ -157,7 +157,7 @@ class TestHBEdgesDirect:
         child = self.FakeThread("v0:w1")
         detector._vc("v0:t0").tick("v0:t0")
         snapshot = detector._vc("v0:t0").copy()
-        detector.on_spawn(parent, child)
+        detector.thread_spawned(parent, child)
         assert detector._vc("v0:w1").dominates(snapshot)
         # parent advanced past the fork point
         assert detector._vc("v0:t0").get("v0:t0") \
@@ -169,20 +169,20 @@ class TestHBEdgesDirect:
         target = self.FakeThread("v0:w1")
         detector._vc("v0:w1").tick("v0:w1")
         final = detector._vc("v0:w1").copy()
-        detector.on_join(joiner, target)
+        detector.thread_joined(joiner, target)
         assert detector._vc("v0:t0").dominates(final)
 
     def test_futex_wake_orders_wakees(self):
         detector = RaceDetector()
         detector._vc("v0:t0").tick("v0:t0")
         published = detector._vc("v0:t0").copy()
-        detector.on_futex_wake("v0:t0", ["v0:w1", "v0:w2"])
+        detector.futex_wake(0, 0x10, ["v0:w1", "v0:w2"], "v0:t0")
         for wakee in ("v0:w1", "v0:w2"):
             assert detector._vc(wakee).dominates(published)
 
     def test_wake_without_wakees_is_noop(self):
         detector = RaceDetector()
-        detector.on_futex_wake("v0:t0", [])
+        detector.futex_wake(0, 0x10, [], "v0:t0")
         assert detector.report.hb_edges == 0
 
     def test_reset_variant_drops_only_that_variant(self):
@@ -190,7 +190,7 @@ class TestHBEdgesDirect:
         detector._vc("v0:t0")
         detector._vc("v1:t0")
         detector._sync_vc[(1, 5)] = detector._vc("v1:t0").copy()
-        detector.reset_variant(1)
+        detector.variant_restarted(1)
         assert "v1:t0" not in detector._threads
         assert "v0:t0" in detector._threads
         assert (1, 5) not in detector._sync_vc

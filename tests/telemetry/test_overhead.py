@@ -1,5 +1,6 @@
 """The overhead gate: telemetry measures its own host cost."""
 
+import repro.experiments.runner as runner
 from repro.par.bench import bench_tasks, build_matrix
 from repro.telemetry.overhead import measure_cell_overhead
 
@@ -16,4 +17,22 @@ class TestMeasureCellOverhead:
         # The traced arm actually recorded host spans...
         assert block["spans_recorded"] >= 1
         # ...and the simulated outputs did not move: the contract.
+        assert block["digest_identical"] is True
+
+    def test_every_repetition_simulates(self, monkeypatch):
+        """Both arms time real simulation, never a memo-cache hit."""
+        calls = []
+        real = runner.run_mvee
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_mvee", spy)
+        runner.reset_caches()
+        task = bench_tasks(build_matrix(quick=True, scale=0.02))[0]
+        repeats = 2
+        block = measure_cell_overhead(task, repeats=repeats)
+        # One warmup run, then every repetition of both arms.
+        assert len(calls) == 1 + 2 * repeats
         assert block["digest_identical"] is True
