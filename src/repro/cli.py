@@ -961,9 +961,10 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
                         help="shard sweep cells across N workers "
                              "(default 1 = serial; output is identical "
                              "either way — see docs/PERFORMANCE.md)")
+    from repro.par.environment import ENVIRONMENT_NAMES
+
     parser.add_argument("--env", default=None,
-                        choices=("inline", "thread", "process",
-                                 "process-static"),
+                        choices=ENVIRONMENT_NAMES,
                         help="execution environment for the workers: "
                              "serial in-process, worker threads, or a "
                              "persistent work-stealing process pool "

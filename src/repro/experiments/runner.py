@@ -238,7 +238,7 @@ def run_fault_matrix(benchmark: str = "dedup", kinds=None, policies=None,
 
     ``jobs`` shards the (policy x kind) cells across workers via
     :mod:`repro.par` and ``env`` picks the execution environment
-    (``inline``/``thread``/``process``/``process-static``); results are
+    (``inline``/``thread``/``process``); results are
     aggregated in matrix order, so every (jobs, env) combination is
     structurally identical to ``jobs=1``.
     """

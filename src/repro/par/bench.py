@@ -33,7 +33,7 @@ Schema of ``BENCH_par.json`` (``format_version`` 2) — see
     first), isolating fork/import amortisation from cache effects.
 ``environment``/``pool``/``scheduler``
     The execution environment the parallel phase ran in
-    (``--env inline|thread|process|process-static``), the persistent
+    (``--env inline|thread|process``), the persistent
     pool's lifecycle counters (spawned/respawns/tasks/batches), and the
     work-stealing scheduler's steal counts.  Host diagnostics only —
     never part of the digest.
@@ -235,20 +235,19 @@ def run_bench(jobs: int = 1, quick: bool = False,
 
         environment_name = env or "process"
         pool = None
-        if environment_name in ("process", "process-static"):
+        if environment_name == "process":
             # Private pool: cold/warm measurement must not ride workers
             # another sweep already forked.
             pool = WorkerPool(jobs)
-            environment = ProcessEnvironment(
-                stealing=environment_name == "process", pool=pool)
+            environment = ProcessEnvironment(pool=pool)
         else:
             environment = environment_for(environment_name)
-        runner = environment.make_runner(jobs)
+        runner = environment.make_runner(jobs, trace_dir=trace_dir)
         tasks = bench_tasks(matrix, with_obs=trace_dir is not None)
         reset_caches()
         try:
             start = time.perf_counter()
-            par_results = runner.run(tasks, trace_dir)
+            par_results = runner.run(tasks)
             par_wall = time.perf_counter() - start
             parallel_block = {
                 "wall_s": par_wall,
@@ -262,7 +261,7 @@ def run_bench(jobs: int = 1, quick: bool = False,
                 # Warm pass: same workers, cold caches.
                 pool.call_all(reset_caches)
                 start = time.perf_counter()
-                warm_results = runner.run(bench_tasks(matrix), None)
+                warm_results = runner.run(bench_tasks(matrix))
                 parallel_block["warm_wall_s"] = (time.perf_counter()
                                                  - start)
                 if (canonical_cells(warm_results)
@@ -377,7 +376,7 @@ def render_bench(report: dict) -> str:
                 f"respawn(s), {pool['tasks']} cell(s) over "
                 f"{pool['batches']} batch(es)")
         scheduler = report.get("scheduler")
-        if scheduler and scheduler.get("stealing"):
+        if scheduler:
             lines.append(
                 f"stealing : {scheduler['steals']} steal(s) moved "
                 f"{scheduler['cells_stolen']} cell(s)")

@@ -14,7 +14,7 @@ environment:
   order, and per-cell seeds come from
   :func:`repro.par.seeds.derive_cell_seed`, so worker count, scheduling
   and environment choice cannot leak into results.
-* **crash isolation** (process environments) — a worker that dies
+* **crash isolation** (process environment) — a worker that dies
   (``os._exit``, segfault, OOM kill) fails *its* cell with a diagnostic
   :class:`CellResult` and leaves every sibling cell untouched; the pool
   respawns the worker back to target size.  The inline path mirrors
@@ -33,18 +33,12 @@ aggregate).
 
 :class:`CellExecutor` is the ticket-based face of the same machinery
 for daemons (``repro serve``): cells arrive one at a time from many
-client connections and share one persistent pool.
+client connections and share one persistent pool.  Both faces drive the
+same streaming runner, so each environment has exactly one dispatch
+loop.
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import os
-import queue
-import threading
-import time
-from collections import deque
-from multiprocessing import connection
 
 # Re-exported envelope API (the historical public surface of this
 # module; sweeps and tests import these names from here).
@@ -55,14 +49,14 @@ from repro.par.cells import (
     execute_cell,
     merge_cell_traces,
     raise_failures,
-    trace_path_for,
 )
 from repro.par.environment import (
     ExecutionEnvironment,
+    ProcessEnvironment,
+    environment_for,
     resolve_environment,
 )
 from repro.par.pool import WorkerPool
-from repro.par import transport
 
 __all__ = [
     "CellTask",
@@ -74,18 +68,6 @@ __all__ = [
     "merge_cell_traces",
 ]
 
-# Backwards-compatible private aliases (pre-environment engine layout).
-_execute_cell = execute_cell
-_trace_path_for = trace_path_for
-
-
-def _mp_context():
-    """Fork when the platform offers it (cheap, inherits warm imports);
-    otherwise the platform default."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else None)
-
 
 def run_cells(tasks, jobs: int = 1, trace_dir: str | None = None,
               env: str | ExecutionEnvironment | None = None,
@@ -93,25 +75,25 @@ def run_cells(tasks, jobs: int = 1, trace_dir: str | None = None,
     """Run every task and return results **in task-list order**.
 
     ``env`` selects the execution environment by name (``inline``,
-    ``thread``, ``process``, ``process-static``) or instance; ``None``
-    keeps the historical behaviour — inline for ``jobs<=1``, the
-    persistent process pool otherwise.  Single-cell batches always run
+    ``thread``, ``process``) or instance; ``None`` keeps the historical
+    behaviour — inline for ``jobs<=1``, the persistent process pool
+    otherwise.  Single-cell batches always run
     inline (there is nothing to parallelise).  ``stall_timeout_s`` arms
-    the process environments' wedged-worker harvester.
+    the process environment's wedged-worker harvester.
     """
     tasks = list(tasks)
     if jobs <= 1 or len(tasks) <= 1:
         return [execute_cell(task, trace_dir) for task in tasks]
-    environment = resolve_environment(env, jobs)
-    runner = environment.make_runner(jobs, stall_timeout_s=stall_timeout_s)
+    runner = resolve_environment(env, jobs).make_runner(
+        jobs, trace_dir=trace_dir, stall_timeout_s=stall_timeout_s)
     try:
-        return runner.run(tasks, trace_dir)
+        return runner.run(tasks)
     finally:
         runner.close()
 
 
 class CellExecutor:
-    """A long-lived worker pool: submit cells over time, share the slots.
+    """A long-lived runner: submit cells over time, share the slots.
 
     :func:`run_cells` is a synchronous batch — fine for sweeps, useless
     for a daemon whose cells (serve sessions) arrive one at a time from
@@ -128,105 +110,60 @@ class CellExecutor:
     their task.  ``env="thread"`` uses worker threads instead of forked
     processes (shared caches, no crash isolation).
 
-    Single-consumer per ticket: :meth:`wait` (or a :meth:`poll` that
-    finds the cell done) hands the result over exactly once.
+    The executor is a thin face over the environment's streaming
+    runner (:mod:`repro.par.runners`): the same dispatch loop serves
+    sweeps and daemon tickets.  Single-consumer per ticket:
+    :meth:`wait` (or a :meth:`poll` that finds the cell done) hands the
+    result over exactly once.
     """
 
     def __init__(self, jobs: int = 2, trace_dir: str | None = None,
                  env: str | None = None,
                  stall_timeout_s: float | None = None):
         self.jobs = max(0, jobs)
-        self.trace_dir = trace_dir
-        self.stall_timeout_s = stall_timeout_s
-        if self.jobs == 0:
-            self.env = "inline"
-        elif env is None:
-            self.env = "process"
-        else:
-            self.env = getattr(env, "name", env)
-        self._lock = threading.Lock()
-        self._pending: deque = deque()
-        self._done: dict[int, CellResult] = {}
-        self._events: dict[int, threading.Event] = {}
-        self._next_ticket = 0
-        self._closed = False
-        self.submitted = 0
-        self.completed = 0
-        self._pool: WorkerPool | None = None
-        if self.env in ("process", "process-static"):
-            # Private pool: the executor's lifecycle (daemon start/stop)
-            # owns these workers, independent of any shared sweep pool.
-            self._pool = WorkerPool(self.jobs)
-            self._wake_r, self._wake_w = os.pipe()
-            self._thread = threading.Thread(
-                target=self._dispatch_loop, name="cell-executor",
-                daemon=True)
-            self._thread.start()
-        elif self.env == "thread":
-            self._queue: queue.Queue = queue.Queue()
-            self._threads = [
-                threading.Thread(target=self._thread_worker,
-                                 name=f"cell-executor-{i}", daemon=True)
-                for i in range(self.jobs)]
-            for thread in self._threads:
-                thread.start()
-        elif self.env != "inline":
-            raise ValueError(
-                f"unknown executor environment {self.env!r}")
-
-    # -- submit side -------------------------------------------------------
+        self.env = "inline" if self.jobs == 0 else env or "process"
+        # Private pool: the executor's lifecycle (daemon start/stop)
+        # owns these workers, independent of any shared sweep pool.
+        self._pool = WorkerPool(self.jobs) if self.env == "process" \
+            else None
+        environment = (ProcessEnvironment(self._pool)
+                       if self._pool is not None
+                       else environment_for(self.env))
+        self._runner = environment.make_runner(
+            self.jobs, trace_dir=trace_dir,
+            stall_timeout_s=stall_timeout_s)
 
     def submit(self, task: CellTask) -> int:
         """Queue one cell; returns a ticket for :meth:`wait`/:meth:`poll`."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("executor is shut down")
-            ticket = self._next_ticket
-            self._next_ticket += 1
-            self._events[ticket] = threading.Event()
-            self.submitted += 1
-            if self.env == "inline":
-                # Inline mode: run right here, same envelope semantics.
-                result = execute_cell(task, self.trace_dir)
-                self._done[ticket] = result
-                self.completed += 1
-                self._events[ticket].set()
-                return ticket
-            self._pending.append((ticket, task))
-        if self.env == "thread":
-            self._queue.put(ticket)
-        else:
-            self._wake()
-        return ticket
+        return self._runner.submit(task)
 
     def poll(self, ticket: int) -> CellResult | None:
         """The cell's result if it finished, else ``None`` (never blocks).
         A returned result is handed over: the ticket is retired."""
-        with self._lock:
-            result = self._done.pop(ticket, None)
-            if result is not None:
-                self._events.pop(ticket, None)
-            return result
+        return self._runner.poll(ticket)
 
     def wait(self, ticket: int,
              timeout: float | None = None) -> CellResult | None:
         """Block until the cell finishes; ``None`` only on timeout."""
-        event = self._events.get(ticket)
-        if event is not None and not event.wait(timeout):
-            return None
-        return self.poll(ticket)
+        return self._runner.wait(ticket, timeout)
+
+    @property
+    def submitted(self) -> int:
+        return self._runner.submitted
+
+    @property
+    def completed(self) -> int:
+        return self._runner.completed
 
     @property
     def in_flight(self) -> int:
-        with self._lock:
-            return self.submitted - self.completed
+        return self._runner.in_flight
 
     @property
     def queued(self) -> int:
         """Cells accepted but not yet dispatched to a worker (the
         queue-depth gauge ``serve status`` and the metrics op report)."""
-        with self._lock:
-            return len(self._pending)
+        return self._runner.queued
 
     def pool_stats(self) -> dict | None:
         """Persistent-pool diagnostics (``None`` outside process envs)."""
@@ -234,164 +171,21 @@ class CellExecutor:
             return None
         return self._pool.stats()
 
+    def stats(self) -> dict:
+        """The executor block of ``serve status`` and the host metrics:
+        ticket counts, queue depth, and the pool and scheduler stats."""
+        runner = self._runner.stats()
+        stats = {"jobs": self.jobs, "env": self.env,
+                 "submitted": self.submitted, "completed": self.completed,
+                 "in_flight": self.in_flight, "queued": self.queued,
+                 "scheduler": runner["scheduler"]}
+        if "pool" in runner:
+            stats["pool"] = runner["pool"]
+        return stats
+
     def shutdown(self) -> None:
         """Stop the pool: running workers are terminated, queued cells
         fail with a diagnostic result (nothing hangs)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        if self.env in ("process", "process-static"):
-            self._wake()
-            self._thread.join(timeout=30.0)
-            os.close(self._wake_r)
-            os.close(self._wake_w)
-        elif self.env == "thread":
-            for _ in self._threads:
-                self._queue.put(None)
-            for thread in self._threads:
-                thread.join(timeout=30.0)
-            self._fail_pending("executor shut down")
-
-    def _fail_pending(self, message: str) -> None:
-        with self._lock:
-            pending = list(self._pending)
-            self._pending.clear()
-        for ticket, task in pending:
-            self._deliver(ticket, CellResult(
-                index=task.index, ok=False, error=message))
-
-    # -- delivery ----------------------------------------------------------
-
-    def _deliver(self, ticket: int, result: CellResult) -> None:
-        with self._lock:
-            self._done[ticket] = result
-            self.completed += 1
-            event = self._events.get(ticket)
-        if event is not None:
-            event.set()
-
-    # -- thread environment ------------------------------------------------
-
-    def _thread_worker(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            with self._lock:
-                entry = None
-                for position, (ticket, task) in enumerate(self._pending):
-                    if ticket == item:
-                        entry = (ticket, task)
-                        del self._pending[position]
-                        break
-                closed = self._closed
-            if entry is None:
-                continue
-            ticket, task = entry
-            if closed:
-                self._deliver(ticket, CellResult(
-                    index=task.index, ok=False,
-                    error="executor shut down"))
-                continue
-            self._deliver(ticket, execute_cell(task, self.trace_dir))
-
-    # -- process environment dispatcher ------------------------------------
-
-    def _wake(self) -> None:
-        try:
-            os.write(self._wake_w, b"x")
-        except OSError:  # pragma: no cover - closed during shutdown
-            pass
-
-    def _dispatch_loop(self) -> None:
-        pool = self._pool
-        idle = set(range(pool.size))
-        # slot -> (ticket, task, the PoolWorker it went to)
-        in_flight: dict[int, tuple[int, CellTask, object]] = {}
-        while True:
-            with self._lock:
-                closed = self._closed
-                starts = []
-                while not closed and self._pending and idle:
-                    slot = idle.pop()
-                    starts.append((slot, *self._pending.popleft()))
-            for slot, ticket, task in starts:
-                try:
-                    worker = pool.dispatch(slot, task, self.trace_dir,
-                                           tag=ticket)
-                except (BrokenPipeError, OSError):
-                    pool.respawn(slot)
-                    worker = pool.dispatch(slot, task, self.trace_dir,
-                                           tag=ticket)
-                in_flight[slot] = (ticket, task, worker)
-            if closed:
-                break
-            waitables = [self._wake_r]
-            for _, _, worker in in_flight.values():
-                waitables.append(worker.conn)
-                waitables.append(worker.proc.sentinel)
-            ready = connection.wait(
-                waitables, timeout=self._stall_budget(in_flight))
-            ready = set(ready or ())
-            if self._wake_r in ready:
-                os.read(self._wake_r, 4096)
-            now = time.monotonic()
-            for slot in list(in_flight):
-                ticket, task, worker = in_flight[slot]
-                if worker.conn in ready or worker.proc.sentinel in ready:
-                    result = self._harvest(task, worker, slot)
-                elif (self.stall_timeout_s is not None
-                      and now - worker.dispatched_at
-                      > self.stall_timeout_s):
-                    pool.kill(slot, reason="stalled")
-                    pool.respawn(slot)
-                    result = CellResult(
-                        index=task.index, ok=False,
-                        error=(f"worker stalled: no result within "
-                               f"{self.stall_timeout_s:g}s; killed and "
-                               f"respawned"),
-                        worker_pid=worker.pid)
-                else:
-                    continue
-                del in_flight[slot]
-                idle.add(slot)
-                self._deliver(ticket, result)
-        # Shutdown: kill the survivors, fail the queue — never hang.
-        for slot, (ticket, task, worker) in in_flight.items():
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-            worker.proc.join(timeout=5.0)
-            self._deliver(ticket, CellResult(
-                index=task.index, ok=False,
-                error="executor shut down", worker_pid=worker.pid))
-        pool.shutdown()
-        self._fail_pending("executor shut down")
-
-    def _harvest(self, task: CellTask, worker, slot: int) -> CellResult:
-        pool = self._pool
-        result = None
-        if worker.conn.poll():
-            try:
-                result = transport.recv_result(worker.conn.recv())
-            except (EOFError, OSError):
-                result = None
-        if result is not None:
-            pool.mark_idle(worker)
-            return result
-        worker.proc.join(timeout=5.0)
-        result = CellResult(
-            index=task.index, ok=False,
-            error=(f"worker died before reporting "
-                   f"(exit code {worker.proc.exitcode})"),
-            worker_pid=worker.pid)
-        pool.respawn(slot)
-        return result
-
-    def _stall_budget(self, in_flight: dict) -> float | None:
-        if self.stall_timeout_s is None or not in_flight:
-            return None
-        now = time.monotonic()
-        deadline = min(worker.dispatched_at + self.stall_timeout_s
-                       for _, _, worker in in_flight.values())
-        return max(deadline - now, 0.05)
+        self._runner.close()
+        if self._pool is not None:
+            self._pool.shutdown()

@@ -26,7 +26,7 @@ that with a small set of long-lived worker processes:
 
 Determinism is unaffected by any of this: cells are pure functions of
 their :class:`~repro.par.cells.CellTask` (seeds derive from the cell
-index), results are slotted by task position, and a respawned worker
+index), results come back in task order, and a respawned worker
 re-executes nothing — the failed cell stays failed, exactly as a
 crashed one-shot worker did.  ``tests/par/test_pool_faults.py`` pins
 kill/respawn/digest-identity; the differential suite pins pool output
@@ -115,7 +115,7 @@ class PoolWorker:
         self.proc = proc
         self.conn = conn
         #: Opaque tag set by the dispatch loop while a cell is in
-        #: flight (task position or executor ticket); None when idle.
+        #: flight (the runner's ticket); None when idle.
         self.busy = None
         self.dispatched_at = 0.0
         self.last_used = time.monotonic()
@@ -140,9 +140,10 @@ class WorkerPool:
         self._ctx = _mp_context()
         self._slots: list[PoolWorker | None] = [None] * size
         self._closed = False
-        #: Serialises whole batches / dispatch loops on this pool (the
-        #: shared pool may be reached from several sweeps in one
-        #: process; their batches run back to back, not interleaved).
+        #: Held by a runner's dispatcher while it has cells queued or in
+        #: flight (the shared pool may be reached from several sweeps
+        #: in one process; their batches run back to back, not
+        #: interleaved, and control-plane calls wait for a gap).
         self.lock = threading.RLock()
         # -- amortisation / resilience counters (host diagnostics) ----
         self.spawned = 0

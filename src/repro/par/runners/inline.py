@@ -1,13 +1,13 @@
-"""Inline runner: the calling thread, one cell at a time."""
+"""Inline runner: each cell runs inside ``submit``, in the caller."""
 
 from __future__ import annotations
 
-from repro.par.cells import CellResult, CellTask, execute_cell
+from repro.par.cells import CellTask, execute_cell
 from repro.par.runners.base import Runner
 
 
 class InlineRunner(Runner):
-    """The serial oracle: no pool, no threads, no scheduler.
+    """The serial oracle: no pool, no threads, nothing queued.
 
     Every other environment is tested for digest-equality against this
     one; it is also what ``jobs<=1`` resolves to everywhere, preserving
@@ -17,17 +17,5 @@ class InlineRunner(Runner):
 
     env_name = "inline"
 
-    def __init__(self, environment):
-        self._environment = environment
-        self._cells_run = 0
-
-    def run(self, tasks: list[CellTask],
-            trace_dir: str | None = None) -> list[CellResult]:
-        buffer = self._environment.make_buffer(len(tasks))
-        for position, task in enumerate(tasks):
-            buffer.put(position, execute_cell(task, trace_dir))
-            self._cells_run += 1
-        return buffer.collect()
-
-    def stats(self) -> dict:
-        return {"environment": self.env_name, "cells": self._cells_run}
+    def _enqueue(self, ticket: int, task: CellTask) -> None:
+        self._deliver(ticket, execute_cell(task, self.trace_dir))

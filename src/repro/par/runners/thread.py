@@ -1,4 +1,4 @@
-"""Thread runner: worker threads over a shared work-stealing scheduler.
+"""Thread runner: worker threads serving tickets from the steal scheduler.
 
 Threads share the parent's interpreter, so this environment is the
 cheap one: no fork, no pickling, and the parent's memo caches
@@ -9,10 +9,10 @@ stays the default for ``jobs>1``.
 
 Determinism is untouched by threading: the scheduler decides *which
 thread* runs a cell, never *what the cell computes* (seeds derive from
-the cell index), and results land in a :class:`LockedBuffer` slotted by
-task position.  The GIL serialises the pure-Python simulation work, so
-on CPython this environment is about observing scheduler behaviour and
-cache sharing, not wall-clock speedups.
+the cell index), and results are handed back by ticket.  The GIL
+serialises the pure-Python simulation work, so on CPython this
+environment is about observing scheduler behaviour and cache sharing,
+not wall-clock speedups.
 """
 
 from __future__ import annotations
@@ -20,61 +20,54 @@ from __future__ import annotations
 import threading
 
 from repro.par.cells import CellResult, CellTask, execute_cell
-from repro.par.runners.base import Runner
-from repro.par.stealing import StealScheduler
+from repro.par.runners.base import SHUT_DOWN, Runner
 
 
 class ThreadRunner(Runner):
-    """``jobs`` worker threads pulling cells from per-worker deques."""
+    """``jobs`` worker threads pulling tickets from per-worker deques."""
 
     env_name = "thread"
 
-    def __init__(self, environment, jobs: int, stealing: bool = True):
+    def __init__(self, jobs: int, trace_dir: str | None = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self._environment = environment
-        self.jobs = jobs
-        self.stealing = stealing
-        self._last_scheduler: StealScheduler | None = None
+        super().__init__(jobs, trace_dir)
+        self._work = threading.Condition(self._lock)
+        #: Tickets a worker thread is executing right now.
+        self._running: dict[int, CellTask] = {}
+        for index in range(jobs):
+            threading.Thread(target=self._worker, args=(index,),
+                             name=f"repro-cell-{index}",
+                             daemon=True).start()
 
-    def run(self, tasks: list[CellTask],
-            trace_dir: str | None = None) -> list[CellResult]:
-        tasks = list(tasks)
-        buffer = self._environment.make_buffer(len(tasks))
-        scheduler = StealScheduler(len(tasks), self.jobs,
-                                   stealing=self.stealing)
-        self._last_scheduler = scheduler
-        # The scheduler is single-consumer by design; worker threads
-        # serialise their next_for/steal calls through this lock while
-        # cell execution itself runs unlocked.
-        sched_lock = threading.Lock()
-        errors: list[BaseException] = []
+    def _enqueue(self, ticket: int, task: CellTask) -> None:
+        super()._enqueue(ticket, task)
+        # Any idle thread will do: an empty deque steals.
+        self._work.notify()
 
-        def worker(worker_index: int) -> None:
-            try:
+    def _worker(self, index: int) -> None:
+        while True:
+            with self._work:
                 while True:
-                    with sched_lock:
-                        position = scheduler.next_for(worker_index)
-                    if position is None:
+                    if self._closed:
                         return
-                    task = tasks[position]
-                    buffer.put(position, execute_cell(task, trace_dir))
-            except BaseException as exc:  # infrastructure bug, surface it
-                errors.append(exc)
+                    entry = self._next(index)
+                    if entry is not None:
+                        break
+                    self._work.wait()
+                ticket, task = entry
+                self._running[ticket] = task
+            result = execute_cell(task, self.trace_dir)
+            with self._lock:
+                del self._running[ticket]
+                self._deliver(ticket, result)
 
-        threads = [threading.Thread(target=worker, args=(i,),
-                                    name=f"repro-cell-{i}", daemon=True)
-                   for i in range(min(self.jobs, len(tasks)) or 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return buffer.collect()
-
-    def stats(self) -> dict:
-        stats = {"environment": self.env_name, "jobs": self.jobs}
-        if self._last_scheduler is not None:
-            stats["scheduler"] = self._last_scheduler.stats()
-        return stats
+    def close(self) -> None:
+        # A running cell cannot be interrupted: its ticket fails now and
+        # the thread drops the late result before it exits.
+        with self._lock:
+            for ticket, task in self._running.items():
+                self._deliver(ticket, CellResult(
+                    index=task.index, ok=False, error=SHUT_DOWN))
+            super().close()
+            self._work.notify_all()

@@ -8,7 +8,8 @@ classic per-worker-deque shape:
 
 * cell ``i`` starts on worker ``i % workers`` — the *initial partition*
   is a pure function of the cell index, so which worker *first owns* a
-  cell never depends on timing;
+  cell never depends on timing (cells dealt at construction and cells
+  fed one at a time with :meth:`push` land alike);
 * a worker takes its next cell from the **head** of its own deque (the
   order a static partition would have run them);
 * a worker whose deque is empty **steals half** (rounded up) from the
@@ -20,7 +21,7 @@ classic per-worker-deque shape:
 
 Scheduling can therefore affect *when and where* a cell runs but never
 *what it computes*: cell seeds derive from the cell index alone
-(:mod:`repro.par.seeds`) and results are slotted by task position, so
+(:mod:`repro.par.seeds`) and results come back in task order, so
 any interleaving of :meth:`next_for` calls yields the same sweep output.
 ``tests/property/test_work_stealing.py`` drives random interleavings
 with Hypothesis to pin exactly that: every cell scheduled exactly once,
@@ -28,8 +29,8 @@ no losses, no duplicates, aggregation order independent of victim
 choice.
 
 The scheduler is deliberately not thread-safe: each runner drives it
-from a single dispatch thread (the parent process for the process pool,
-the submitting thread for the thread runner under its lock).
+under its own lock (the dispatcher thread for the process pool, the
+worker threads for the thread runner).
 """
 
 from __future__ import annotations
@@ -42,20 +43,24 @@ __all__ = ["StealScheduler"]
 class StealScheduler:
     """Deal ``items`` cell positions across ``workers`` local deques."""
 
-    def __init__(self, items: int, workers: int, stealing: bool = True):
+    def __init__(self, items: int, workers: int):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if items < 0:
             raise ValueError(f"items must be >= 0, got {items}")
         self.workers = workers
-        self.stealing = stealing
         self._deques: list[deque[int]] = [deque()
                                           for _ in range(workers)]
-        for position in range(items):
-            self._deques[position % workers].append(position)
-        self._remaining = items
+        self._remaining = 0
         #: Diagnostics: (thief, victim, cells moved) per steal event.
         self.steals: list[tuple[int, int, int]] = []
+        for position in range(items):
+            self.push(position)
+
+    def push(self, position: int) -> None:
+        """Deal one more cell to worker ``position % workers``."""
+        self._deques[position % self.workers].append(position)
+        self._remaining += 1
 
     @property
     def remaining(self) -> int:
@@ -71,16 +76,14 @@ class StealScheduler:
     def next_for(self, worker: int) -> int | None:
         """The next cell position worker ``worker`` should run.
 
-        Pops the head of the worker's own deque; if it is empty and
-        stealing is enabled, steals half of the busiest victim's deque
-        first.  Returns ``None`` when no cell is available anywhere
-        (the sweep is fully handed out).
+        Pops the head of the worker's own deque; if it is empty, steals
+        half of the busiest victim's deque first.  Returns ``None`` when
+        no cell is available anywhere (everything is handed out).
         """
         own = self._deques[worker]
-        if not own and self.stealing:
+        if not own:
             self._steal_into(worker)
         if not own:
-            # Static mode (or nothing left to steal): this worker is done.
             return None
         self._remaining -= 1
         return own.popleft()
@@ -121,7 +124,6 @@ class StealScheduler:
 
         stats = {
             "workers": self.workers,
-            "stealing": self.stealing,
             "steals": len(self.steals),
             "cells_stolen": sum(count for _, _, count in self.steals),
         }

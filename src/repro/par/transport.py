@@ -1,16 +1,9 @@
-"""Buffers and transports: how cell results travel between runners.
+"""Result transport: how a cell result travels from a pool worker home.
 
-Following the puma ``environment``/``runner``/``buffer`` split, each
-execution environment pairs its runner with a matching result buffer:
-
-* :class:`ListBuffer` — plain slots, no locking; matches the inline
-  runner (one thread, no concurrency).
-* :class:`LockedBuffer` — the same slots under a lock; matches the
-  thread runner (worker threads deliver concurrently).
-* The process runner harvests on a single dispatch thread, so it also
-  uses :class:`ListBuffer` parent-side; what it needs instead is a
-  *wire transport* for the worker→parent hop, provided by
-  :func:`send_result` / :func:`recv_result`.
+Runners hand results back by ticket, so the parent needs no result
+buffer; what the process runner does need is a *wire transport* for
+the worker→parent hop, provided by :func:`send_result` /
+:func:`recv_result`.
 
 The wire transport ships small results inline through the pipe (one
 pickled message, the historical behaviour) but diverts payloads larger
@@ -32,13 +25,10 @@ lives here.
 from __future__ import annotations
 
 import pickle
-import threading
 
 from repro.par.cells import CellResult
 
 __all__ = [
-    "ListBuffer",
-    "LockedBuffer",
     "SHM_THRESHOLD_BYTES",
     "send_result",
     "recv_result",
@@ -58,42 +48,6 @@ except ImportError:  # pragma: no cover - stdlib always has it on linux
 
 def shm_available() -> bool:
     return _shm is not None
-
-
-class ListBuffer:
-    """Position-slotted result buffer for single-threaded delivery."""
-
-    def __init__(self, size: int):
-        self._slots: list[CellResult | None] = [None] * size
-
-    def put(self, position: int, result: CellResult) -> None:
-        self._slots[position] = result
-
-    def collect(self) -> list[CellResult]:
-        """Results in task-list order; every slot must be filled."""
-        missing = [i for i, slot in enumerate(self._slots)
-                   if slot is None]
-        if missing:
-            raise RuntimeError(
-                f"result buffer incomplete: slots {missing} never "
-                "received a result")
-        return list(self._slots)
-
-
-class LockedBuffer(ListBuffer):
-    """The same slots, safe for concurrent worker-thread delivery."""
-
-    def __init__(self, size: int):
-        super().__init__(size)
-        self._lock = threading.Lock()
-
-    def put(self, position: int, result: CellResult) -> None:
-        with self._lock:
-            super().put(position, result)
-
-    def collect(self) -> list[CellResult]:
-        with self._lock:
-            return super().collect()
 
 
 def _unregister_from_tracker(name: str) -> None:

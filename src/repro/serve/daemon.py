@@ -239,17 +239,7 @@ class ServeDaemon:
 
     def _op_status(self, request: dict) -> dict:
         status = self.registry.status()
-        status["executor"] = {
-            "jobs": self.executor.jobs,
-            "env": self.executor.env,
-            "submitted": self.executor.submitted,
-            "completed": self.executor.completed,
-            "in_flight": self.executor.in_flight,
-            "queued": self.executor.queued,
-        }
-        pool_stats = self.executor.pool_stats()
-        if pool_stats is not None:
-            status["executor"]["pool"] = pool_stats
+        status["executor"] = self.executor.stats()
         status["sessions_detail"] = self.registry.table()
         status["uptime_s"] = round(time.time() - self.started_unix, 3)
         status["version"] = protocol.PROTOCOL_VERSION
@@ -357,15 +347,7 @@ class ServeDaemon:
 
             status = self.registry.status()
             hostmetrics.publish_serve_status(status)
-            executor = {
-                "jobs": self.executor.jobs,
-                "submitted": self.executor.submitted,
-                "completed": self.executor.completed,
-                "in_flight": self.executor.in_flight,
-                "queued": self.executor.queued,
-                "pool": self.executor.pool_stats(),
-            }
-            hostmetrics.publish_executor_stats(executor)
+            hostmetrics.publish_executor_stats(self.executor.stats())
             return protocol.ok_response(
                 "metrics", scope="host",
                 exposition=render_prometheus(hostmetrics.host_registry()),

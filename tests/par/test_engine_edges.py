@@ -23,7 +23,6 @@ from repro.par.environment import ProcessEnvironment
 from repro.par.pool import WorkerPool
 from repro.par.transport import (
     SHM_THRESHOLD_BYTES,
-    ListBuffer,
     recv_result,
     send_result,
     shm_available,
@@ -176,13 +175,6 @@ class TestOutOfOrderCompletion:
 
 
 class TestBufferContract:
-    def test_incomplete_buffer_refuses_to_collect(self):
-        buffer = ListBuffer(3)
-        buffer.put(0, CellResult(index=0, ok=True, value=1))
-        buffer.put(2, CellResult(index=2, ok=True, value=3))
-        with pytest.raises(RuntimeError, match=r"slots \[1\]"):
-            buffer.collect()
-
     def test_pickle_roundtrip_of_cell_result(self):
         result = CellResult(index=9, ok=False, error="boom",
                             worker_pid=123)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments import serve_load
 from repro.par.engine import CellExecutor, CellTask
+from repro.par.environment import ENVIRONMENT_NAMES
 from repro.serve.session import run_session_cell
 
 
@@ -30,6 +31,11 @@ def _hard_exit():
 
 def _sleep_forever():
     time.sleep(3600)
+
+
+def _sleep_then_square(seconds, x):
+    time.sleep(seconds)
+    return x * x
 
 
 def _task(index, fn, **kwargs):
@@ -118,6 +124,59 @@ class TestForkPool:
         executor = CellExecutor(jobs=2)
         executor.shutdown()
         executor.shutdown()
+
+
+@pytest.mark.parametrize("env", ENVIRONMENT_NAMES)
+class TestEveryEnvironment:
+    """The ticket API means the same in every environment."""
+
+    def test_results_arrive_out_of_band(self, env):
+        executor = CellExecutor(jobs=2, env=env)
+        try:
+            tickets = [executor.submit(_task(i, _sleep_then_square,
+                                             seconds=(5 - i) * 0.02, x=i))
+                       for i in range(6)]
+            values = {t: executor.wait(t, timeout=60.0).value
+                      for t in reversed(tickets)}
+            assert [values[t] for t in tickets] == [i * i for i in range(6)]
+            assert executor.completed == 6 and executor.in_flight == 0
+        finally:
+            executor.shutdown()
+
+    def test_wait_timeout_returns_none_and_keeps_the_ticket(self, env):
+        if env == "inline":
+            pytest.skip("inline cells finish inside submit")
+        executor = CellExecutor(jobs=1, env=env)
+        try:
+            executor.submit(_task(0, _sleep_then_square, seconds=0.5, x=1))
+            queued = executor.submit(_task(1, _square, x=2))
+            assert executor.wait(queued, timeout=0.1) is None
+            assert executor.in_flight == 2
+            assert executor.wait(queued, timeout=60.0).value == 4
+        finally:
+            executor.shutdown()
+
+    def test_shutdown_fails_queued_and_running_cells(self, env):
+        if env == "inline":
+            pytest.skip("inline cells finish inside submit")
+        executor = CellExecutor(jobs=1, env=env)
+        running = executor.submit(_task(0, _sleep_then_square,
+                                        seconds=5.0, x=1))
+        queued = executor.submit(_task(1, _square, x=2))
+        deadline = time.monotonic() + 30.0
+        while executor.queued > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        start = time.monotonic()
+        executor.shutdown()
+        assert time.monotonic() - start < 4.0
+        assert "shut down" in executor.wait(running, timeout=1.0).error
+        assert "shut down" in executor.wait(queued, timeout=1.0).error
+
+    def test_submit_after_shutdown_is_an_error(self, env):
+        executor = CellExecutor(jobs=2, env=env)
+        executor.shutdown()
+        with pytest.raises(RuntimeError, match="shut down"):
+            executor.submit(_task(0, _square, x=1))
 
 
 class TestJobsInvariance:

@@ -11,15 +11,18 @@ one failed cell plus a respawn instead of a hung sweep.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import threading
 import time
 
+import pytest
+
 from repro.experiments.runner import reset_caches
 from repro.par.bench import bench_tasks, build_matrix, canonical_cells
 from repro.par.cells import CellTask
-from repro.par.engine import run_cells
+from repro.par.engine import CellExecutor, run_cells
 from repro.par.environment import ProcessEnvironment
 from repro.par.pool import WorkerPool
 
@@ -169,6 +172,51 @@ class TestStallDetection:
             assert pool.stats()["stall_kills"] == 0
         finally:
             pool.shutdown()
+
+
+@contextlib.contextmanager
+def _front(name):
+    """A batch runner over one of the two fronts of the process loop."""
+    if name == "run_cells":
+        yield lambda tasks: run_cells(tasks, jobs=2, env="process")
+        return
+    executor = CellExecutor(jobs=1)
+
+    def run(tasks):
+        tickets = [executor.submit(task) for task in tasks]
+        return [executor.wait(ticket, timeout=30.0) for ticket in tickets]
+
+    try:
+        yield run
+    finally:
+        executor.shutdown()
+
+
+class TestDispatchFailure:
+    @pytest.mark.parametrize("front", ["run_cells", "executor"])
+    def test_cell_fails_alone_and_the_loop_keeps_serving(self, front,
+                                                         monkeypatch):
+        """Dispatch failing twice for one cell (respawn included) fails
+        that cell only; later cells still reach the pool."""
+        dispatch = WorkerPool.dispatch
+        failures = [2]
+
+        def flaky_dispatch(self, index, task, trace_dir, tag=None):
+            if task.index == 1 and failures[0]:
+                failures[0] -= 1
+                raise BrokenPipeError("injected")
+            return dispatch(self, index, task, trace_dir, tag)
+
+        monkeypatch.setattr(WorkerPool, "dispatch", flaky_dispatch)
+        with _front(front) as run:
+            results = run([_task(i, _square, x=i) for i in range(4)])
+            assert not results[1].ok
+            assert ("cannot dispatch cell 1: worker pipe failed twice "
+                    "(injected)") == results[1].error
+            assert [r.value for r in results if r.ok] == [0, 4, 9]
+            later = run([_task(4, _square, x=6), _task(5, _square, x=7)])
+            assert [r.value for r in later] == [36, 49]
+        assert failures == [0]
 
 
 class TestPoolLifecycle:

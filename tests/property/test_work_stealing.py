@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.par.seeds import derive_cell_seed
 from repro.par.stealing import StealScheduler
-from repro.par.transport import ListBuffer
 
 counts = st.integers(min_value=0, max_value=64)
 worker_counts = st.integers(min_value=1, max_value=8)
@@ -57,14 +56,6 @@ class TestExactlyOnce:
         assert sorted(handed) == list(range(items))
         assert scheduler.remaining == 0 and scheduler.done()
 
-    @given(counts, worker_counts,
-           st.lists(st.integers(min_value=0, max_value=7), max_size=200))
-    def test_static_mode_also_exactly_once(self, items, workers, order):
-        scheduler = StealScheduler(items, workers, stealing=False)
-        handed = drain(scheduler, order)
-        assert sorted(handed) == list(range(items))
-        assert scheduler.stats()["steals"] == 0
-
     @given(counts, worker_counts)
     def test_exhausted_scheduler_keeps_returning_none(self, items,
                                                       workers):
@@ -78,15 +69,6 @@ class TestAggregationOrder:
     """Results land at their task position, so the collected output is
     in task order regardless of which worker ran what when."""
 
-    @given(counts, worker_counts,
-           st.lists(st.integers(min_value=0, max_value=7), max_size=200))
-    def test_buffer_collects_in_task_order(self, items, workers, order):
-        scheduler = StealScheduler(items, workers)
-        buffer = ListBuffer(items)
-        for position in drain(scheduler, order):
-            buffer.put(position, f"cell-{position}")
-        assert buffer.collect() == [f"cell-{i}" for i in range(items)]
-
     @given(st.integers(min_value=1, max_value=64), worker_counts,
            worker_counts,
            st.lists(st.integers(min_value=0, max_value=7), max_size=200),
@@ -97,10 +79,10 @@ class TestAggregationOrder:
         interleavings — aggregate to the same output."""
         def run(workers, order):
             scheduler = StealScheduler(items, workers)
-            buffer = ListBuffer(items)
+            results = [None] * items
             for position in drain(scheduler, order):
-                buffer.put(position, position * position)
-            return buffer.collect()
+                results[position] = position * position
+            return results
 
         assert run(workers_a, order_a) == run(workers_b, order_b)
 

@@ -100,6 +100,29 @@ class TestHostMetricsOp:
         assert snapshot["host.serve.op.poll"] >= 1
 
 
+class TestSchedulerStats:
+    def test_status_and_metrics_carry_the_steal_counters(self):
+        daemon = ServeDaemon(ServeConfig(port=0, jobs=2, env="process"))
+        daemon.start()
+        try:
+            with ServeClient(*daemon.address) as client:
+                ids = [client.create(dict(NGINX)) for _ in range(3)]
+                for session_id in ids:
+                    client.run(session_id, wait=False)
+                while not all(client.poll(session_id)["done"]
+                              for session_id in ids):
+                    pass
+                status = client.status()
+                snapshot = client.host_metrics()["metrics"]
+        finally:
+            daemon.stop()
+        scheduler = status["executor"]["scheduler"]
+        assert scheduler["workers"] == 2
+        assert snapshot["host.steal.steals"] == scheduler["steals"]
+        assert snapshot["host.steal.cells_stolen"] == \
+            scheduler["cells_stolen"]
+
+
 class TestEndToEndTrace:
     def test_cli_daemon_session_worker_one_trace(self, tmp_path,
                                                  monkeypatch):

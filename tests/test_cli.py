@@ -22,6 +22,15 @@ class TestParser:
         assert args.variants == 2
         assert not args.diversity
 
+    def test_env_choices_are_the_registered_environments(self):
+        from repro.par.environment import ENVIRONMENT_NAMES
+
+        for name in ENVIRONMENT_NAMES:
+            args = build_parser().parse_args(["fig5", "--env", name])
+            assert args.env == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig5", "--env", "process-static"])
+
 
 class TestCommands:
     def test_list(self, capsys):
