@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.perf.contention import ContentionTracker
+from repro.perf.contention import ContentionTracker, coherence_cycles
 from repro.perf.costs import CostModel, DEFAULT_COSTS
 from repro.sched.interceptor import SyncAgent
 
@@ -100,8 +100,6 @@ class AgentSharedState:
         it does not broadcast), matching the saturating behaviour of real
         coherence fabrics.
         """
-        from repro.perf.contention import coherence_cycles
-
         sharers = self.contention.access(line_key, thread_global_id)
         return coherence_cycles(self.costs, sharers)
 

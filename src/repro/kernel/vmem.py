@@ -46,14 +46,35 @@ class Protection(enum.Flag):
     RX = READ | EXEC
 
 
-@dataclass
-class MemoryRegion:
-    """A contiguous mapped region."""
+_READ = Protection.READ.value
+_WRITE = Protection.WRITE.value
 
-    start: int
-    size: int
-    prot: Protection
-    tag: str = "anon"
+
+class MemoryRegion:
+    """A contiguous mapped region.
+
+    ``mask`` mirrors ``prot`` as a plain int, kept in step by the ``prot``
+    setter, so the per-access protection test is an int ``&`` rather
+    than an ``enum.Flag`` operation.
+    """
+
+    __slots__ = ("start", "size", "tag", "mask", "_prot")
+
+    def __init__(self, start: int, size: int, prot: Protection,
+                 tag: str = "anon"):
+        self.start = start
+        self.size = size
+        self.tag = tag
+        self.prot = prot
+
+    @property
+    def prot(self) -> Protection:
+        return self._prot
+
+    @prot.setter
+    def prot(self, value: Protection) -> None:
+        self._prot = value
+        self.mask = value.value
 
     @property
     def end(self) -> int:
@@ -61,6 +82,10 @@ class MemoryRegion:
 
     def contains(self, addr: int) -> bool:
         return self.start <= addr < self.end
+
+    def __repr__(self) -> str:
+        return (f"MemoryRegion(start={self.start:#x}, size={self.size:#x}, "
+                f"prot={self._prot}, tag={self.tag!r})")
 
 
 def page_align_up(value: int) -> int:
@@ -90,6 +115,11 @@ class AddressSpace:
         self.bases = bases or LayoutBases()
         self.regions: list[MemoryRegion] = []
         self._memory: dict[int, int] = {}
+        #: The region the last access hit.  Regions never overlap, so a
+        #: hit here is the region :meth:`region_at` would return; its
+        #: ``start``/``size``/``mask`` are read live, so ``brk`` and
+        #: ``mprotect`` need no invalidation.  ``munmap`` clears it.
+        self._last_region: MemoryRegion | None = None
         # Code and static-data regions exist from "process start".
         self._map(self.bases.code_base, 16 * PAGE_SIZE, Protection.RX, "code")
         self.static_region = self._map(self.bases.static_base,
@@ -106,9 +136,26 @@ class AddressSpace:
 
     def _map(self, start: int, size: int, prot: Protection,
              tag: str) -> MemoryRegion:
+        clash = self._overlapping(start, start + size)
+        if clash is not None:
+            raise SyscallError(
+                f"{tag} region [{start:#x}, {start + size:#x}) overlaps "
+                f"the {clash.tag} region at {clash.start:#x}",
+                errno_name="ENOMEM")
         region = MemoryRegion(start=start, size=size, prot=prot, tag=tag)
         self.regions.append(region)
         return region
+
+    def _overlapping(self, start: int, end: int,
+                     ignore: MemoryRegion | None = None
+                     ) -> MemoryRegion | None:
+        """The first region other than ``ignore`` overlapping
+        ``[start, end)``, if any."""
+        for region in self.regions:
+            if (region is not ignore and start < region.end
+                    and region.start < end):
+                return region
+        return None
 
     def region_at(self, addr: int) -> MemoryRegion | None:
         """Find the region containing ``addr``, if any."""
@@ -125,8 +172,13 @@ class AddressSpace:
             return self.brk_current
         if new_end < self.brk_start:
             raise SyscallError("brk below heap start", errno_name="ENOMEM")
+        size = page_align_up(new_end - self.brk_start)
+        if self._overlapping(self.brk_start, self.brk_start + size,
+                             ignore=self.heap_region) is not None:
+            raise SyscallError("brk would run into a mapped region",
+                               errno_name="ENOMEM")
         self.brk_current = new_end
-        self.heap_region.size = page_align_up(new_end - self.brk_start)
+        self.heap_region.size = size
         return self.brk_current
 
     def mmap(self, size: int, prot: Protection = Protection.RW,
@@ -137,8 +189,8 @@ class AddressSpace:
                                errno_name="EINVAL")
         size = page_align_up(size)
         start = self._mmap_cursor
-        self._mmap_cursor += size + PAGE_SIZE  # guard page gap
         self._map(start, size, prot, tag)
+        self._mmap_cursor += size + PAGE_SIZE  # guard page gap
         return start
 
     def munmap(self, start: int) -> None:
@@ -147,6 +199,7 @@ class AddressSpace:
             if region.start == start and region.tag not in ("code", "data",
                                                             "heap"):
                 del self.regions[index]
+                self._last_region = None
                 return
         raise SyscallError(f"munmap: no region at {start:#x}",
                            errno_name="EINVAL")
@@ -177,23 +230,29 @@ class AddressSpace:
 
     # -- data access ----------------------------------------------------------
 
-    def _check(self, addr: int, need: Protection) -> None:
-        region = self.region_at(addr)
-        if region is None:
-            raise MemoryFault(f"access to unmapped address {addr:#x}")
-        if not region.prot & need:
+    def _check(self, addr: int, need: int) -> None:
+        """Fault unless ``addr`` is mapped with the access ``need``
+        (the int value of ``Protection.READ`` or ``Protection.WRITE``)."""
+        region = self._last_region
+        if (region is None
+                or not region.start <= addr < region.start + region.size):
+            region = self.region_at(addr)
+            if region is None:
+                raise MemoryFault(f"access to unmapped address {addr:#x}")
+            self._last_region = region
+        if not region.mask & need:
             raise MemoryFault(
                 f"protection violation at {addr:#x}: "
-                f"page is {region.prot}, need {need}")
+                f"page is {region.prot}, need {Protection(need)}")
 
     def load(self, addr: int) -> int:
         """Read the word at ``addr`` (0 if never written)."""
-        self._check(addr, Protection.READ)
+        self._check(addr, _READ)
         return self._memory.get(addr, 0)
 
     def store(self, addr: int, value: int) -> None:
         """Write the word at ``addr``."""
-        self._check(addr, Protection.WRITE)
+        self._check(addr, _WRITE)
         self._memory[addr] = value
 
     def peek(self, addr: int) -> int:

@@ -40,6 +40,9 @@ Schema of ``BENCH_par.json`` (``format_version`` 2) — see
 ``speedup``
     serial wall / parallel wall (``null`` for ``--jobs 1``);
     ``speedup_warm`` is the same ratio against the warm-pool re-run.
+    Both are ``null`` when the host has fewer CPUs than ``jobs``: the
+    workers then time-slice and the ratio measures the host, not the
+    engine.  ``speedup_note`` says why (``null`` otherwise).
 ``identical``
     Whether parallel structural output matched serial bit-for-bit.
 ``digest``
@@ -85,6 +88,15 @@ QUICK_SCALE = 0.05
 
 #: The full matrix mirrors the Figure 5 grid.
 FULL_SCALE = 0.1
+
+
+def speedup_note(cpu_count: int | None, jobs: int) -> str | None:
+    """Why a ``jobs``-worker speedup on a ``cpu_count``-CPU host is not
+    meaningful, or ``None`` when it is (or the CPU count is unknown)."""
+    if cpu_count is not None and cpu_count < jobs:
+        return (f"not meaningful: {jobs} jobs on {cpu_count} cpu(s) "
+                "time-slice the workers")
+    return None
 
 
 def _bench_cell(benchmark: str, agent: str, variants: int, scale: float,
@@ -221,7 +233,9 @@ def run_bench(jobs: int = 1, quick: bool = False,
     parallel_block = None
     speedup = None
     speedup_warm = None
+    note = None
     identical = None
+    cpu_count = os.cpu_count()
     merged_trace = None
     environment_name = None
     pool_block = None
@@ -289,11 +303,13 @@ def run_bench(jobs: int = 1, quick: bool = False,
     overhead_block = measure_cell_overhead(bench_tasks(matrix)[0])
 
     if parallel_block is not None:
-        speedup = (serial_wall / parallel_block["wall_s"]
-                   if parallel_block["wall_s"] > 0 else None)
-        warm_wall = parallel_block.get("warm_wall_s")
-        if warm_wall:
-            speedup_warm = serial_wall / warm_wall
+        note = speedup_note(cpu_count, jobs)
+        if note is None:
+            speedup = (serial_wall / parallel_block["wall_s"]
+                       if parallel_block["wall_s"] > 0 else None)
+            warm_wall = parallel_block.get("warm_wall_s")
+            if warm_wall:
+                speedup_warm = serial_wall / warm_wall
         identical = (canonical_cells(par_results) == serial_cells
                      and parallel_block.get("warm_identical", True))
 
@@ -302,7 +318,7 @@ def run_bench(jobs: int = 1, quick: bool = False,
         "format_version": FORMAT_VERSION,
         "generated_unix": int(time.time()),
         "host": {
-            "cpu_count": os.cpu_count(),
+            "cpu_count": cpu_count,
             "platform": platform.platform(),
             "python": platform.python_version(),
         },
@@ -322,6 +338,7 @@ def run_bench(jobs: int = 1, quick: bool = False,
         "parallel": parallel_block,
         "speedup": speedup,
         "speedup_warm": speedup_warm,
+        "speedup_note": note,
         "identical": identical,
         "digest": digest_of(serial_cells),
         "profile": profile_first_cell(matrix),
@@ -380,9 +397,12 @@ def render_bench(report: dict) -> str:
             lines.append(
                 f"stealing : {scheduler['steals']} steal(s) moved "
                 f"{scheduler['cells_stolen']} cell(s)")
+        speedup = report.get("speedup")
         lines.append(
-            f"speedup  : {report['speedup']:.2f}x vs serial; "
-            "structural output "
+            "speedup  : "
+            + (f"{speedup:.2f}x vs serial" if speedup is not None
+               else report.get("speedup_note") or "not measured")
+            + "; structural output "
             + ("IDENTICAL to serial" if report["identical"]
                else "DIFFERS from serial (bug!)"))
     else:

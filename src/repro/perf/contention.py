@@ -18,29 +18,21 @@ from collections import deque
 
 
 class SharedLineModel:
-    """Tracks recent accessors of one logically shared cache line."""
+    """Tracks recent accessors of one logically shared cache line.
 
-    __slots__ = ("window", "_recent", "_recent_set")
+    A one-line view of :class:`ContentionTracker`, which holds the sliding
+    window itself."""
+
+    __slots__ = ("window", "_tracker")
 
     def __init__(self, window: int = 16):
         self.window = window
-        self._recent: deque[str] = deque(maxlen=window)
-        self._recent_set: dict[str, int] = {}
+        self._tracker = ContentionTracker(window)
 
     def access(self, thread_id: str) -> int:
         """Record an access; return the number of distinct *other* recent
         accessors (the coherence-miss multiplier)."""
-        if len(self._recent) == self._recent.maxlen:
-            oldest = self._recent[0]
-            count = self._recent_set.get(oldest, 0)
-            if count <= 1:
-                self._recent_set.pop(oldest, None)
-            else:
-                self._recent_set[oldest] = count - 1
-        self._recent.append(thread_id)
-        self._recent_set[thread_id] = self._recent_set.get(thread_id, 0) + 1
-        sharers = len(self._recent_set)
-        return max(0, sharers - 1)
+        return self._tracker.access(None, thread_id)
 
 
 def coherence_cycles(costs, sharers: int) -> float:
@@ -53,19 +45,34 @@ def coherence_cycles(costs, sharers: int) -> float:
 
 
 class ContentionTracker:
-    """A keyed collection of shared lines (one per cursor / clock / lock)."""
+    """A keyed collection of shared lines (one per cursor / clock / lock).
+
+    Each line is its last ``window`` accessors in order plus a count per
+    distinct accessor among them; :meth:`access` slides the window inline
+    (this is on the path of every simulated atomic access)."""
+
+    __slots__ = ("window", "_lines")
 
     def __init__(self, window: int = 16):
         self.window = window
-        self._lines: dict[object, SharedLineModel] = {}
+        self._lines: dict[object, tuple[deque, dict[str, int]]] = {}
 
     def access(self, key: object, thread_id: str) -> int:
         """Record an access to line ``key``; returns distinct other sharers."""
         line = self._lines.get(key)
         if line is None:
-            line = SharedLineModel(self.window)
-            self._lines[key] = line
-        return line.access(thread_id)
+            line = self._lines[key] = (deque(maxlen=self.window), {})
+        recent, counts = line
+        if len(recent) == self.window:
+            oldest = recent[0]
+            count = counts[oldest]
+            if count == 1:
+                del counts[oldest]
+            else:
+                counts[oldest] = count - 1
+        recent.append(thread_id)
+        counts[thread_id] = counts.get(thread_id, 0) + 1
+        return len(counts) - 1
 
     def line_count(self) -> int:
         return len(self._lines)

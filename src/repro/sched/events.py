@@ -31,14 +31,14 @@ class InstructionClass(enum.Enum):
     PLAIN = "plain"
 
 
-@dataclass
+@dataclass(slots=True)
 class Compute:
     """Pure computation taking ``cycles`` simulated cycles."""
 
     cycles: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Syscall:
     """A system call.  ``args`` already carry materialized values.
 
@@ -51,7 +51,7 @@ class Syscall:
     args: tuple = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class SyncOp:
     """One atomic instruction on a synchronization variable.
 
@@ -85,7 +85,7 @@ class SyncOp:
     width: int = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class Spawn:
     """Create a new guest thread running ``fn(ctx, *args)``.
 
@@ -100,7 +100,7 @@ class Spawn:
     name: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Join:
     """Wait for the thread with logical id ``tid``; result is its return
     value."""
@@ -108,7 +108,7 @@ class Join:
     tid: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Annotate:
     """A no-cost trace annotation (used by tests and the figure benches)."""
 

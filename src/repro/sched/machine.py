@@ -92,6 +92,9 @@ class Machine:
         self._divergence = None
         self._fault: GuestFault | None = None
         self._guest_deadlock: DeadlockError | None = None
+        # Set wherever one of the three sticky outcomes above is set, so
+        # the event loop tests one flag per event instead of three.
+        self._stop = False
         # Whether the initial dispatch has happened; lets advance() be
         # called repeatedly (incremental driving) without re-running the
         # bootstrap dispatch.
@@ -267,61 +270,66 @@ class Machine:
         if not self._started:
             self._started = True
             self._dispatch()
-            self._raise_if_flagged()
+            if self._stop:
+                self._raise_if_flagged()
+        heap = self._heap  # cleared in place by _kill_all, never rebound
         processed = 0
-        while self._heap:
+        while heap:
             if max_events is not None and processed >= max_events:
                 return None
             processed += 1
-            time, _, kind, payload = heapq.heappop(self._heap)
+            time, _, kind, payload = heapq.heappop(heap)
             if kind == "watchdog":
                 # Probes neither advance the clock nor count against the
                 # budget; a firing probe commits its own time.
                 payload(self, time)
+                # Fall through to the common tail: a probe may flag an
+                # outcome or wake threads like any other event.
+            else:
+                if time > self.max_cycles:
+                    raise DeadlockError(
+                        f"simulation budget exceeded at {time:.0f} cycles "
+                        "(possible livelock)",
+                        blocked=self._blocked_summary())
+                self.now = time
+                if kind == "step_done":
+                    thread, started = payload
+                    # RUNNING implies alive.
+                    if thread.state is ThreadState.RUNNING:
+                        duration = self.now - started
+                        thread.stats.busy_cycles += duration
+                        thread.burst_cycles += duration
+                        hooks = self.hooks
+                        if hooks is not None:
+                            # park_resume is still set for mid-event resumes,
+                            # so the hook can attribute the recheck to the
+                            # wait that caused it.
+                            hooks.step_committed(
+                                thread.vm.index, thread.global_id,
+                                thread.logical_id,
+                                ("resume" if thread.park_resume is not None
+                                 else self._event_kinds[
+                                     type(thread.pending_event)]),
+                                duration)
+                        self._commit_step(thread)
+                elif kind == "external":
+                    payload(self)
+                elif kind == "timer_wake":
+                    thread, key = payload
+                    if (thread.state is ThreadState.BLOCKED
+                            and thread.park_key == key):
+                        waiting = self._parked.get(key)
+                        if waiting and thread in waiting:
+                            waiting.remove(thread)
+                            if not waiting:
+                                del self._parked[key]
+                        self._unpark(thread)
+            if self._stop:
                 self._raise_if_flagged()
+            if self._free_cores > 0 and self._ready:
                 self._dispatch()
-                self._raise_if_flagged()
-                continue
-            if time > self.max_cycles:
-                raise DeadlockError(
-                    f"simulation budget exceeded at {time:.0f} cycles "
-                    "(possible livelock)",
-                    blocked=self._blocked_summary())
-            self.now = time
-            if kind == "step_done":
-                thread, started = payload
-                if thread.alive and thread.state is ThreadState.RUNNING:
-                    duration = self.now - started
-                    thread.stats.busy_cycles += duration
-                    thread.burst_cycles += duration
-                    hooks = self.hooks
-                    if hooks is not None:
-                        # park_resume is still set for mid-event resumes,
-                        # so the hook can attribute the recheck to the
-                        # wait that caused it.
-                        hooks.step_committed(
-                            thread.vm.index, thread.global_id,
-                            thread.logical_id,
-                            ("resume" if thread.park_resume is not None
-                             else self._event_kinds[
-                                 type(thread.pending_event)]),
-                            duration)
-                    self._commit_step(thread)
-            elif kind == "external":
-                payload(self)
-            elif kind == "timer_wake":
-                thread, key = payload
-                if (thread.state is ThreadState.BLOCKED
-                        and thread.park_key == key):
-                    waiting = self._parked.get(key)
-                    if waiting and thread in waiting:
-                        waiting.remove(thread)
-                        if not waiting:
-                            del self._parked[key]
-                    self._unpark(thread)
-            self._raise_if_flagged()
-            self._dispatch()
-            self._raise_if_flagged()
+                if self._stop:
+                    self._raise_if_flagged()
         alive = [t for t in self._threads_by_id.values() if t.alive]
         if alive:
             raise DeadlockError(
@@ -353,6 +361,7 @@ class Machine:
             blocked=self._blocked_summary())
         error.record = record
         self._guest_deadlock = error
+        self._stop = True
 
     def _blocked_summary(self) -> list[str]:
         return [f"{t.global_id} waiting on {t.park_key}"
@@ -834,6 +843,7 @@ class Machine:
             self.wake_key(("join", thread.vm.index, thread.logical_id))
             return
         self._fault = fault
+        self._stop = True
 
     def terminate_variant(self, variant_index: int) -> None:
         """Quarantine support: kill every thread of one variant without
@@ -875,6 +885,7 @@ class Machine:
     def _kill_all(self, report) -> None:
         """Divergence: terminate every variant (the MVEE's response)."""
         self._divergence = report
+        self._stop = True
         if self.hooks is not None:
             self.hooks.divergence(report)
         for vm in self.vms:

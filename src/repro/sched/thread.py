@@ -25,6 +25,10 @@ class ThreadState(enum.Enum):
     KILLED = "killed"      # terminated by the monitor
 
 
+_DONE = ThreadState.DONE
+_KILLED = ThreadState.KILLED
+
+
 @dataclass
 class ThreadStats:
     """Per-thread accounting used by the performance reports."""
@@ -100,7 +104,8 @@ class GuestThread:
 
     @property
     def alive(self) -> bool:
-        return self.state not in (ThreadState.DONE, ThreadState.KILLED)
+        state = self.state
+        return state is not _DONE and state is not _KILLED
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<GuestThread {self.global_id} {self.state.value}>"

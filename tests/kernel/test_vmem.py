@@ -140,3 +140,69 @@ class TestSnapshotPeek:
         space.store(start, 5)
         space.mprotect(start, Protection.NONE)
         assert space.peek(start) == 5
+
+
+class TestLastRegionCache:
+    """Every access first warms the last-hit region cache, then changes
+    the mapping under it: the next access must see the change."""
+
+    def test_munmap_invalidates_the_cached_region(self):
+        space = AddressSpace()
+        start = space.mmap(PAGE_SIZE)
+        space.store(start, 7)
+        assert space.load(start) == 7
+        space.munmap(start)
+        with pytest.raises(MemoryFault, match="unmapped address"):
+            space.load(start)
+
+    def test_mprotect_is_read_live_from_the_cached_region(self):
+        space = AddressSpace()
+        start = space.mmap(PAGE_SIZE)
+        space.store(start, 1)
+        space.mprotect(start, Protection.READ)
+        assert space.load(start) == 1
+        with pytest.raises(MemoryFault) as caught:
+            space.store(start, 2)
+        assert str(caught.value) == (
+            f"protection violation at {start:#x}: page is "
+            f"{Protection.READ}, need {Protection.WRITE}")
+
+    def test_brk_shrink_is_read_live_from_the_cached_region(self):
+        space = AddressSpace()
+        base = space.brk(None)
+        space.brk(base + 3 * PAGE_SIZE)
+        far = base + 2 * PAGE_SIZE
+        space.store(far, 3)
+        space.brk(base + 100)
+        assert space.load(base) == 0
+        with pytest.raises(MemoryFault, match="unmapped address"):
+            space.load(far)
+        with pytest.raises(MemoryFault, match="unmapped address"):
+            space.store(far, 4)
+
+    def test_overlapping_map_raises(self):
+        space = AddressSpace()
+        start = space.mmap(2 * PAGE_SIZE)
+        space.load(start)
+        with pytest.raises(SyscallError, match="overlaps the mmap region"):
+            space._map(start + PAGE_SIZE, PAGE_SIZE, Protection.RW, "mmap")
+
+    def test_overlapping_layout_raises(self):
+        bases = LayoutBases()
+        bases.static_base = bases.code_base + PAGE_SIZE
+        with pytest.raises(SyscallError, match="overlaps the code region"):
+            AddressSpace(bases)
+
+    def test_brk_into_a_mapping_is_enomem(self):
+        bases = LayoutBases()
+        bases.mmap_base = bases.heap_base + 2 * PAGE_SIZE
+        space = AddressSpace(bases)
+        start = space.mmap(PAGE_SIZE)
+        space.store(start, 5)
+        base = space.brk(None)
+        space.brk(base + PAGE_SIZE)
+        with pytest.raises(SyscallError, match="mapped region") as caught:
+            space.brk(base + 2 * PAGE_SIZE + 1)
+        assert caught.value.errno_name == "ENOMEM"
+        assert space.brk(None) == base + PAGE_SIZE
+        assert space.load(start) == 5
