@@ -328,7 +328,7 @@ def _record_to(args, out_path: str) -> int:
     print(f"verdict   : {outcome.verdict}")
     print(f"log       : {out_path} ({len(recorded.log.records)} "
           f"decision(s), {footer.get('steps')} step(s))")
-    print(f"digest    : {recorded.log.digest()}")
+    print(f"digest    : {footer.get('digest') or recorded.log.digest()}")
     if recorded.checkpointer is not None:
         store = recorded.checkpointer.store
         print(f"checkpoint: {len(store)} snapshot(s)"
@@ -354,14 +354,15 @@ def _cmd_replay(args) -> int:
           f"({spec.get('workload')} x{spec.get('variants')}, "
           f"{len(log.records)} decision(s))")
     divergence = replayed.replayer.first_divergence
+    matches = (replayed.matches() if replayed.outcome is not None
+               else None)
     if args.to_step is not None and replayed.outcome is None:
         print(f"stopped   : step {replayed.stopped_at_step} "
               + ("at first divergence" if divergence is not None
                  else f"(asked for {args.to_step})"))
     if divergence is not None:
         print(f"divergence: {divergence.describe()}")
-    if replayed.outcome is not None:
-        matches = replayed.matches()
+    if matches is not None:
         for key in ("verdict", "cycles", "obs_digest"):
             entry = matches.get(key)
             if entry is None:
@@ -392,8 +393,7 @@ def _cmd_replay(args) -> int:
               f"{args.bundle_out}")
     if divergence is not None:
         return 1
-    if replayed.outcome is not None:
-        matches = replayed.matches()
+    if matches is not None:
         checks = [entry["match"] for entry in matches.values()
                   if isinstance(entry, dict) and "match" in entry]
         if not all(checks) or matches.get("log_digest_match") is False:
@@ -404,12 +404,12 @@ def _cmd_replay(args) -> int:
 def _cmd_checkpoint(args) -> int:
     import json
 
-    from repro.errors import ReplayError
     from repro.replay import CheckpointStore, DecisionLog
+    from repro.replay.checkpoint import NotACheckpointStore
 
     try:
         store = CheckpointStore.load(args.path)
-    except ReplayError:
+    except NotACheckpointStore:
         store = None
     if store is not None:
         if args.json:

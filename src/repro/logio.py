@@ -1,11 +1,12 @@
 """Shared JSON-lines I/O with torn-tail tolerance.
 
-Two subsystems persist append-only JSONL and must survive the same
+Three artifacts persist append-only JSONL and must survive the same
 failure: a crash mid-``write`` leaves a *torn tail* — a final line that
 is a prefix of a record (or a line with no trailing newline at all).
-The serve registry journal (:mod:`repro.serve.registry`) and the replay
-:class:`~repro.replay.log.DecisionLog` both recover from such files, so
-the truncated-line handling lives here, once.
+The serve registry journal (:mod:`repro.serve.registry`), the replay
+:class:`~repro.replay.log.DecisionLog` and the replay
+:class:`~repro.replay.checkpoint.CheckpointStore` all recover from such
+files, so the truncated-line handling lives here, once.
 
 Semantics
 ---------
@@ -17,7 +18,8 @@ Semantics
 * An *interior* line that fails to decode is corruption, not a torn
   write.  ``on_bad="skip"`` (journal semantics: one bad entry must not
   take down recovery) counts and skips it; ``on_bad="error"`` (decision
-  log semantics: a log with a hole cannot replay) raises
+  log and checkpoint store semantics: a file with a hole cannot be
+  trusted) raises
   :class:`JsonlCorruption` naming the line.
 """
 

@@ -29,13 +29,14 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from repro.errors import ReplayError
+from repro.errors import ReplayError, ReproError
+from repro.logio import append_jsonl, read_jsonl
 
 #: Default snapshot cadence in simulated cycles.
 DEFAULT_EVERY_CYCLES = 250_000.0
 
 STORE_KIND = "repro-checkpoints"
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 
 
 def encode_rng_state(state):
@@ -95,39 +96,92 @@ class Checkpoint:
                 "digest": self.digest()}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Checkpoint":
-        try:
-            ckpt = cls(index=data["index"], at_cycles=data["at_cycles"],
-                       steps=data.get("steps"),
-                       decision_index=data.get("decision_index"),
-                       rng_state=data.get("rng_state"),
-                       master_seq=dict(data.get("master_seq") or {}),
-                       fingerprint=dict(data.get("fingerprint") or {}))
-        except (KeyError, TypeError) as exc:
-            raise ReplayError(f"malformed checkpoint record: {exc}") \
-                from exc
+    def from_dict(cls, data) -> "Checkpoint":
+        """Rebuild a checkpoint, rejecting malformed fields and any
+        entry whose recorded digest does not verify."""
+        if not isinstance(data, dict):
+            raise ReplayError("checkpoint record is not a JSON object")
+        problem = _field_problem(data)
+        if problem:
+            raise ReplayError(f"malformed checkpoint record: {problem}")
+        ckpt = cls(index=data["index"], at_cycles=data["at_cycles"],
+                   steps=data.get("steps"),
+                   decision_index=data.get("decision_index"),
+                   rng_state=data.get("rng_state"),
+                   master_seq=dict(data.get("master_seq") or {}),
+                   fingerprint=dict(data.get("fingerprint") or {}))
         recorded = data.get("digest")
-        if recorded is not None and recorded != ckpt.digest():
+        if recorded != ckpt.digest():
             raise ReplayError(
                 f"checkpoint {ckpt.index} digest mismatch "
                 f"(file {recorded}, computed {ckpt.digest()})")
         return ckpt
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field_problem(data: dict) -> str | None:
+    """Why ``data`` cannot be a checkpoint record (None when it can)."""
+    for key in ("index", "at_cycles"):
+        if key not in data:
+            return f"missing {key!r}"
+    if not _is_int(data["index"]):
+        return "'index' is not an integer"
+    if not (_is_int(data["at_cycles"])
+            or isinstance(data["at_cycles"], float)):
+        return "'at_cycles' is not a number"
+    for key in ("steps", "decision_index"):
+        if data.get(key) is not None and not _is_int(data[key]):
+            return f"{key!r} is not an integer"
+    if not isinstance(data.get("rng_state") or [], list):
+        return "'rng_state' is not a list"
+    for key in ("master_seq", "fingerprint"):
+        if not isinstance(data.get(key) or {}, dict):
+            return f"{key!r} is not a mapping"
+    return None
+
+
+class NotACheckpointStore(ReplayError):
+    """The file is readable but is not a checkpoint store at all (no
+    store header) — ``repro checkpoint`` then tries it as a decision
+    log instead."""
+
+
 class CheckpointStore:
-    """An ordered list of checkpoints, optionally persisted as JSON."""
+    """An ordered list of checkpoints, optionally persisted as JSONL.
+
+    On disk (``STORE_FORMAT`` 2) a store is one header line
+    ``{"format":2,"kind":"repro-checkpoints"}`` followed by one
+    :meth:`Checkpoint.to_dict` line per snapshot.  :meth:`add` appends
+    and fsyncs the new line only, so recording costs linear time in the
+    checkpoints taken; :meth:`persist` atomically rewrites the whole
+    store and is kept for the callers that replace it (the first write
+    to a path, ``--checkpoint-out``, and crash recovery's trim).
+    """
 
     def __init__(self, path: str | None = None):
         self.path = path
         self.checkpoints: list[Checkpoint] = []
+        #: Path whose file holds exactly ``checkpoints`` (appendable).
+        self._on_disk: str | None = None
 
     def __len__(self) -> int:
         return len(self.checkpoints)
 
     def add(self, checkpoint: Checkpoint) -> None:
         self.checkpoints.append(checkpoint)
-        if self.path:
+        if not self.path:
+            return
+        if self._on_disk != self.path:
+            # First write to this path: replace whatever was there.
             self.persist()
+            return
+        with open(self.path, "a") as handle:
+            append_jsonl(handle, checkpoint.to_dict())
+            handle.flush()
+            os.fsync(handle.fileno())
 
     def latest(self) -> Checkpoint | None:
         return self.checkpoints[-1] if self.checkpoints else None
@@ -137,31 +191,50 @@ class CheckpointStore:
                 "checkpoints": [c.to_dict() for c in self.checkpoints]}
 
     def persist(self) -> None:
+        """Atomically rewrite the store file with every checkpoint."""
         tmp = f"{self.path}.tmp"
         with open(tmp, "w") as handle:
-            json.dump(self.to_dict(), handle, sort_keys=True)
-            handle.write("\n")
+            append_jsonl(handle, {"kind": STORE_KIND,
+                                  "format": STORE_FORMAT})
+            for checkpoint in self.checkpoints:
+                append_jsonl(handle, checkpoint.to_dict())
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
+        self._on_disk = self.path
 
     @classmethod
     def load(cls, path: str) -> "CheckpointStore":
+        """Load and verify a store, tolerating only a torn final line."""
         try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise ReplayError(f"cannot read checkpoint store {path!r}: "
-                              f"{exc.strerror or exc}") from exc
-        except ValueError as exc:
-            raise ReplayError(f"checkpoint store {path!r} is not valid "
-                              f"JSON: {exc}") from exc
-        if not isinstance(data, dict) or data.get("kind") != STORE_KIND:
-            raise ReplayError(f"{path!r} is not a checkpoint store "
-                              f"(missing kind == {STORE_KIND!r})")
+            page = read_jsonl(path, on_bad="error")
+        except ReproError as exc:
+            raise ReplayError(f"cannot load checkpoint store: {exc}") \
+                from exc
+        header = page.records[0] if page.records else None
+        if not isinstance(header, dict) or header.get("kind") != STORE_KIND:
+            raise NotACheckpointStore(
+                f"{path!r} is not a checkpoint store "
+                f"(missing kind == {STORE_KIND!r} header)")
+        if header.get("format") != STORE_FORMAT:
+            raise ReplayError(
+                f"{path!r} has checkpoint-store format "
+                f"{header.get('format')!r}; this build reads "
+                f"{STORE_FORMAT}")
         store = cls(path=path)
-        for entry in data.get("checkpoints", []):
-            store.checkpoints.append(Checkpoint.from_dict(entry))
+        for line, entry in enumerate(page.records[1:], start=2):
+            try:
+                checkpoint = Checkpoint.from_dict(entry)
+            except ReplayError as exc:
+                raise ReplayError(f"{path}: line {line}: {exc}") from exc
+            if checkpoint.index != len(store.checkpoints):
+                raise ReplayError(
+                    f"{path}: line {line} holds checkpoint "
+                    f"{checkpoint.index}, expected "
+                    f"{len(store.checkpoints)} (duplicate or "
+                    "out-of-order index)")
+            store.checkpoints.append(checkpoint)
+        store._on_disk = None if page.torn_tail else path
         return store
 
 

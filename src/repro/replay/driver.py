@@ -263,10 +263,12 @@ def resume_recorded(spec, log_path: str, checkpoint_path: str,
     outcome = None
     while outcome is None and not replayer.live:
         outcome = mvee.advance(DRIVE_CHUNK)
-    # Forget checkpoints past the resume point; the resumed run takes
-    # its own from here (same store file, indices keep increasing).
+    # Forget checkpoints past the resume point, on disk too, before the
+    # resumed run appends its own (same store file, indices keep
+    # increasing from here, so none is ever stored twice).
     store.checkpoints = [c for c in store.checkpoints
                          if c.index <= checkpoint.index]
+    store.persist()
     every = checkpoint_every
     if every is None:
         every = CheckpointPolicy().every_cycles

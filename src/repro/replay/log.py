@@ -45,9 +45,15 @@ FORMAT_VERSION = 1
 RECORD_KINDS = ("rng", "sync", "sys", "wake")
 
 
+#: Built once: ``json.dumps`` with non-default arguments builds a new
+#: encoder on every call.  Same bytes as that call.
+_CANONICAL_ENCODE = json.JSONEncoder(sort_keys=True,
+                                     separators=(",", ":")).encode
+
+
 def canonical_line(record: dict) -> str:
     """The one serialization the digest is defined over."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODE(record)
 
 
 class DecisionLog:
@@ -84,10 +90,14 @@ class DecisionLog:
             hasher.update(b"\n")
         return "sha256:" + hasher.hexdigest()
 
-    def seal(self, **outcome) -> dict:
-        """Attach the end record (outcome + digest); returns it."""
+    def seal(self, *, digest: str | None = None, **outcome) -> dict:
+        """Attach the end record (outcome + digest); returns it.
+
+        ``digest`` is the caller's :meth:`digest` when it already hashed
+        the exact lines (the streaming writer); otherwise it is computed.
+        """
         self.footer = {"k": "end", "steps_logged": len(self.records),
-                       "digest": self.digest(), **outcome}
+                       "digest": digest or self.digest(), **outcome}
         return self.footer
 
     def to_lines(self) -> list[str]:
@@ -146,25 +156,24 @@ class DecisionLogWriter:
     ``flush`` appends the records the recorder produced since the last
     flush; the file is always header + a record prefix (+ footer after
     :meth:`close`), so a crash leaves at worst a torn final line —
-    exactly what :meth:`DecisionLog.load` tolerates.
+    exactly what :meth:`DecisionLog.load` tolerates.  Each line is
+    serialized once: a running sha256 over the emitted header and
+    record lines is the digest :meth:`close` seals into the footer.
     """
 
-    def __init__(self, path: str, log: DecisionLog,
-                 start_fresh: bool = True):
+    def __init__(self, path: str, log: DecisionLog):
         self.path = path
         self.log = log
         self._written = 0
-        if start_fresh:
-            self._handle = open(path, "w")
-            self._emit(log.header_dict())
-        else:  # pragma: no cover - reserved for append-reopen
-            self._handle = open(path, "a")
-            self._written = len(log.records)
+        self._hasher = hashlib.sha256()
+        self._handle = open(path, "w")
+        self._emit(log.header_dict())
         self.flush()
 
     def _emit(self, record: dict) -> None:
-        self._handle.write(canonical_line(record))
-        self._handle.write("\n")
+        line = canonical_line(record) + "\n"
+        self._handle.write(line)
+        self._hasher.update(line.encode())
 
     def flush(self) -> None:
         while self._written < len(self.log.records):
@@ -177,8 +186,9 @@ class DecisionLogWriter:
         if self._handle.closed:
             return self.log.footer
         self.flush()
-        footer = self.log.seal(**outcome)
-        self._emit(footer)
+        footer = self.log.seal(
+            digest="sha256:" + self._hasher.hexdigest(), **outcome)
+        self._handle.write(canonical_line(footer) + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._handle.close()

@@ -5,7 +5,9 @@ record kinds, JSON-safe payloads including floats) and checks the two
 invariants replay correctness rests on: write -> load is the identity,
 and the canonical digest is stable under re-serialization — the digest
 sealed into a footer still verifies after any number of load/write
-round trips.
+round trips.  The streaming :class:`DecisionLogWriter` must produce the
+same bytes and the same sealed digest as the one-shot write, however
+the records arrive between flushes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.replay import DecisionLog
+from repro.replay import DecisionLog, DecisionLogWriter
 
 # JSON-safe scalars that round-trip exactly: ints within the double
 # mantissa, finite floats (Python's json preserves repr round-trips),
@@ -110,3 +112,40 @@ class TestDecisionLogRoundTrip:
         before = log.digest()
         log.seal(verdict="clean", cycles=0.0)
         assert log.digest() == before
+
+
+class TestStreamingWriter:
+    @given(spec=_spec, records=_records,
+           chunks=st.lists(st.integers(min_value=0, max_value=8),
+                           max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_writer_matches_one_shot_write(self, spec, records, chunks):
+        outcome = {"verdict": "clean", "cycles": 2.5, "obs_digest": None,
+                   "steps": len(records)}
+        streamed = DecisionLog(spec=spec, meta={"session": "s-1"})
+        fd, path = tempfile.mkstemp(suffix=".decisions.jsonl")
+        os.close(fd)
+        try:
+            writer = DecisionLogWriter(path, streamed)
+            pending = list(records)
+            for size in chunks:
+                for record in pending[:size]:
+                    streamed.append(record)
+                del pending[:size]
+                writer.flush()
+            for record in pending:
+                streamed.append(record)
+            footer = writer.close(**outcome)
+            with open(path, "rb") as handle:
+                streamed_bytes = handle.read()
+            oneshot = DecisionLog(spec=spec, meta={"session": "s-1"})
+            for record in records:
+                oneshot.append(record)
+            oneshot.seal(**outcome)
+            oneshot.write(path)
+            with open(path, "rb") as handle:
+                oneshot_bytes = handle.read()
+        finally:
+            os.unlink(path)
+        assert streamed_bytes == oneshot_bytes
+        assert footer["digest"] == oneshot.digest() == streamed.digest()

@@ -11,6 +11,7 @@ digest an uninterrupted run produces.
 
 from __future__ import annotations
 
+import json
 import os
 
 from repro.serve.registry import SessionRegistry
@@ -18,17 +19,56 @@ from repro.serve.session import SessionSpec
 
 SPEC = {"workload": "nginx", "seed": 5, "policy": "restart"}
 
+#: Long enough that a resumed session is still running after the
+#: resume's first fast-forward batch, so it can crash a second time.
+LONG_SPEC = {"workload": "dedup", "seed": 5, "policy": "restart",
+             "scale": 0.05}
+
 CHECKPOINT_EVERY = 10_000.0
 STEP_EVENTS = 25
 
 
-def _spec() -> SessionSpec:
-    return SessionSpec.from_dict(SPEC).validate()
+def _spec(spec=SPEC) -> SessionSpec:
+    return SessionSpec.from_dict(spec).validate()
 
 
 def _registry(root) -> SessionRegistry:
     return SessionRegistry(state_dir=str(root),
                            checkpoint_every=CHECKPOINT_EVERY)
+
+
+def _reference_result(root, spec) -> dict:
+    """The uninterrupted run, in its own state dir."""
+    registry = _registry(root)
+    session = registry.create(_spec(spec))
+    registry.mark(session, "running")
+    result = _drive(session)
+    registry.mark(session, session.state)
+    registry.shutdown()
+    return result
+
+
+def _step_then_crash(registry, session, steps):
+    """Run ``steps`` steps, then die: no seal, no journal update."""
+    for _ in range(steps):
+        with session.lock:
+            envelope = session.step(STEP_EVENTS)
+        assert not envelope["done"]
+    session.release_writer()
+    registry.shutdown()
+
+
+def _tear(path, nbytes):
+    """Cut the last ``nbytes`` bytes off ``path`` (a torn final line)."""
+    with open(path, "rb+") as handle:
+        handle.truncate(os.path.getsize(path) - nbytes)
+
+
+def _stored_indices(path) -> list:
+    """Checkpoint indices exactly as the store file holds them."""
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    return [json.loads(line)["index"] for line in lines[1:]]
 
 
 def _drive(session, limit=200):
@@ -85,6 +125,49 @@ class TestCrashRecovery:
         assert result["verdict"] == reference["verdict"]
         assert result["cycles"] == reference["cycles"]
         assert result["obs_digest"] == reference["obs_digest"]
+
+    def test_second_crash_after_resume_converges(self, tmp_path):
+        reference = _reference_result(tmp_path / "ref", LONG_SPEC)
+
+        # First crash: torn decision log *and* a checkpoint store whose
+        # last line is cut mid-checkpoint.
+        state = str(tmp_path / "state")
+        registry = _registry(state)
+        session = registry.create(_spec(LONG_SPEC))
+        registry.mark(session, "running")
+        _step_then_crash(registry, session, 10)
+        ckpt_path = session.checkpoint_path()
+        before = _stored_indices(ckpt_path)
+        _tear(session.decision_log_path(), 30)
+        _tear(ckpt_path, 40)
+
+        # Resume, record a little further (new checkpoints are
+        # appended), then crash again.
+        registry = _registry(state)
+        survivor = registry.get(session.id)
+        assert survivor.resume_from_disk
+        registry.mark(survivor, "running")
+        _step_then_crash(registry, survivor, 6)
+        resumed_at = survivor.resumed["checkpoint"]
+        indices = _stored_indices(ckpt_path)
+        assert indices == list(range(len(indices)))
+        assert len(indices) > resumed_at + 1
+        assert indices[:resumed_at + 1] == before[:resumed_at + 1]
+        _tear(survivor.decision_log_path(), 30)
+        _tear(ckpt_path, 40)
+
+        # The second recovery still lands on the uninterrupted result.
+        registry = _registry(state)
+        second = registry.get(session.id)
+        assert second.resume_from_disk
+        result = _drive(second)
+        registry.shutdown()
+        assert "resumed" in result
+        assert result["verdict"] == reference["verdict"]
+        assert result["cycles"] == reference["cycles"]
+        assert result["obs_digest"] == reference["obs_digest"]
+        indices = _stored_indices(ckpt_path)
+        assert indices == list(range(len(indices)))
 
     def test_recovery_without_artifacts_restarts_from_scratch(
             self, tmp_path):

@@ -6,6 +6,8 @@ agree to the cycle.  This is what makes every other test in the suite
 meaningful, and what a debugging session on an MVEE trace depends on.
 """
 
+import os
+
 import pytest
 
 from repro.core.divergence import MonitorPolicy
@@ -385,7 +387,10 @@ class TestBenchCLIDeterminism:
                      "--seed", "1", "-o", str(out)]) == 0
         return json.loads(out.read_text())
 
-    def test_bench_report_schema_and_digest(self, tmp_path):
+    def test_bench_report_schema_and_digest(self, tmp_path, monkeypatch):
+        # Two CPUs, as --jobs 2 needs for a numeric speedup (fewer CPUs
+        # than jobs writes a null speedup with a note instead).
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         report = self._run_bench(tmp_path, "bench.json", jobs=2)
         assert report["kind"] == "repro-bench"
         assert report["format_version"] == 2
